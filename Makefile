@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet staticcheck build test race bench metrics bench-obs bench-difftest bench-check store soak-smoke soak difftest fuzz-smoke explain-smoke serve
+.PHONY: ci fmt vet staticcheck build test race bench metrics bench-obs bench-difftest bench-check bench-smoke store soak-smoke soak difftest fuzz-smoke explain-smoke serve
 
-ci: fmt vet staticcheck build race metrics store difftest fuzz-smoke explain-smoke soak-smoke bench-check
+ci: fmt vet staticcheck build race metrics store difftest fuzz-smoke explain-smoke soak-smoke bench-check bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -63,6 +63,13 @@ bench-difftest:
 # their >=20% allocation win. XLP_BENCH_WRITE=1 refreshes the baselines.
 bench-check:
 	XLP_BENCH_CHECK=1 $(GO) test -count=1 -run '^TestBenchRegressionGate$$|^TestProvenanceBenchGate$$|^TestServiceBenchGate$$|^TestBatchScalingGate$$' -v .
+
+# The repository benchmark's own module (bench/, outside ./...): vet,
+# unit tests, and every workload at toy size with the golden-hash
+# checks (about 6 s), so a change that alters any analysis result fails
+# CI, not only a full benchmark run.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Disk-backed result store: the codec/store unit tests plus the service
 # integration (warm restart, corrupt-entry-is-a-miss) under the race

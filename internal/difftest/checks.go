@@ -509,6 +509,8 @@ func diffEngineStats(aName, bName string, a, b engine.Stats) error {
 		{"resolutions", a.Resolutions, b.Resolutions},
 		{"producer_runs", a.ProducerRuns, b.ProducerRuns},
 		{"producer_passes", a.ProducerPasses, b.ProducerPasses},
+		{"suspensions", a.Suspensions, b.Suspensions},
+		{"resumptions", a.Resumptions, b.Resumptions},
 	} {
 		if c.a != c.b {
 			return fmt.Errorf("mismatch: %s: %s=%d %s=%d", c.name, aName, c.a, bName, c.b)

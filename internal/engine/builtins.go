@@ -169,35 +169,30 @@ func registerBuiltins(m *Machine) {
 	// Solution collection.
 	bi("findall/3", func(m *Machine, args []term.Term, k func() bool) bool {
 		var acc []term.Term
-		m.solveG(args[1], new(bool), func() bool {
-			acc = append(acc, term.Rename(term.Resolve(args[0]), nil))
-			return false
+		m.sealed(func() {
+			m.solveG(args[1], new(bool), func() bool {
+				acc = append(acc, term.Rename(term.Resolve(args[0]), nil))
+				return false
+			})
 		})
 		return m.unifyK(args[2], term.List(acc...), k)
 	})
 	bi("once/1", func(m *Machine, args []term.Term, k func() bool) bool {
-		var stop bool
-		found := false
-		m.solveG(args[0], new(bool), func() bool {
-			found = true
-			stop = k()
-			return true
-		})
-		if !found {
-			return false
-		}
+		_, stop := m.solveFirst(args[0], new(bool), k)
 		return stop
 	})
 	bi("forall/2", func(m *Machine, args []term.Term, k func() bool) bool {
 		holds := true
-		m.solveG(args[0], new(bool), func() bool {
-			ok := false
-			m.solveG(args[1], new(bool), func() bool { ok = true; return true })
-			if !ok {
-				holds = false
-				return true
-			}
-			return false
+		m.sealed(func() {
+			m.solveG(args[0], new(bool), func() bool {
+				ok := false
+				m.solveG(args[1], new(bool), func() bool { ok = true; return true })
+				if !ok {
+					holds = false
+					return true
+				}
+				return false
+			})
 		})
 		if holds {
 			return k()
@@ -210,7 +205,9 @@ func registerBuiltins(m *Machine) {
 			m.throwf("aggregate_all: only 'count' is supported")
 		}
 		n := 0
-		m.solveG(args[1], new(bool), func() bool { n++; return false })
+		m.sealed(func() {
+			m.solveG(args[1], new(bool), func() bool { n++; return false })
+		})
 		return m.unifyK(args[2], term.Int(n), k)
 	})
 

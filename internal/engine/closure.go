@@ -108,7 +108,13 @@ func (m *Machine) resolveClosure(p *Pred, goal term.Term, k func() bool) bool {
 			m.tracer.Emit(obs.EvResolutions, p.Indicator, 1)
 		}
 		mark := m.trail.Mark()
-		if stop := cl.Run(env, args, &cut, k); stop {
+		var stop bool
+		if p.Clauses[cl.Nth].hasCut {
+			stop = m.cutScoped(func(k func() bool) bool { return cl.Run(env, args, &cut, k) }, k)
+		} else {
+			stop = cl.Run(env, args, &cut, k)
+		}
+		if stop {
 			m.trail.Undo(mark)
 			if cut {
 				return false
@@ -123,7 +129,7 @@ func (m *Machine) resolveClosure(p *Pred, goal term.Term, k func() bool) bool {
 	return false
 }
 
-// producePassClosure is one producer clause pass (see runProducer) over
+// producePassClosure is the producer clause pass (see runProducer) over
 // compiled clauses: every solution of a clause body records an answer
 // and fails onward, and the nil cut barrier makes a cut in a tabled
 // body an error, as in the interpreted pass.

@@ -25,6 +25,13 @@ var (
 	// ErrSubgoalLimit: more than Limits.MaxSubgoals distinct tabled
 	// calls were recorded.
 	ErrSubgoalLimit = errors.New("engine: subgoal limit exceeded")
+	// ErrNonResumable: a tabled call whose continuation cannot be
+	// suspended — inside \+, an if-then-else condition, a collecting or
+	// committing builtin (findall, forall, aggregate_all, once), or ahead
+	// of a cut — reached a table that stays incomplete because it depends
+	// on a producer still running (typically unstratified negation).
+	// The engine refuses rather than answer from a partial table.
+	ErrNonResumable = errors.New("engine: tabled call in a non-resumable context depends on an incomplete table")
 	// ErrCanceled: the machine's context was canceled mid-evaluation.
 	ErrCanceled = errors.New("engine: evaluation canceled")
 	// ErrDeadline: the machine's context deadline expired mid-evaluation.

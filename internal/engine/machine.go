@@ -7,11 +7,11 @@
 // Completeness. For tabled predicates the engine computes the full set of
 // answers of the minimal model restricted to the call, terminating
 // whenever the set of reachable subgoals and answers is finite (as in all
-// finite-domain analyses of the paper). Where XSB suspends and resumes
-// consumers (CHAT), this engine re-runs producers to a fixpoint governed
-// by an SCC discipline (see table.go); the result is the same call and
-// answer tables, possibly with more recomputation. Iteration counts are
-// exposed in Stats so the cost of that substitution is visible.
+// finite-domain analyses of the paper). As in XSB, a tabled call that
+// reaches an incomplete table suspends: its continuation and bindings
+// are saved as a consumer record and resumed once per later answer, and
+// each SCC of subgoals completes when no consumer is behind (see
+// table.go). Every subgoal's clauses are resolved exactly once.
 //
 // The Machine is not safe for concurrent use. Intra-query parallelism
 // goes through SolveAll (parallel.go), which forks shard machines over
@@ -111,8 +111,10 @@ type Stats struct {
 	BuiltinCalls   int
 	Subgoals       int // distinct tabled calls
 	Answers        int // distinct tabled answers
-	ProducerRuns   int // producer (re-)activations
-	ProducerPasses int // full clause passes inside producers
+	ProducerRuns   int // producer activations (one per subgoal)
+	ProducerPasses int // clause passes inside producers (one per subgoal)
+	Suspensions    int // consumer records saved at incomplete tables
+	Resumptions    int // answers delivered to saved consumer records
 	// TableBytes is the paper's "table space" measure and always equals
 	// CallBytes + AnswerBytes. Under TablesStringMap it counts canonical
 	// key bytes; under TablesTrie it counts allocated trie nodes at
@@ -150,6 +152,7 @@ type Clause struct {
 	skelHead term.Term
 	skelBody []term.Term
 	nvars    int
+	hasCut   bool // the body holds a cut (see cutScoped)
 }
 
 // compile builds the renaming skeleton; called once when the clause is
@@ -162,6 +165,9 @@ func (cl *Clause) compile() {
 		cl.skelBody[i] = term.CompileSkeleton(g, idx)
 	}
 	cl.nvars = len(idx)
+	for _, g := range cl.Body {
+		cl.hasCut = cl.hasCut || containsCut(g)
+	}
 }
 
 // Pred holds the clauses and properties of one predicate.
@@ -266,12 +272,19 @@ type Machine struct {
 	// activation of this machine (ModeClosure); created lazily.
 	cenv *compile.Env
 
-	stack      []*subgoal // active producers
-	complStack []*subgoal // completion stack
+	stack      []*subgoal // producers whose activation is running
+	complStack []*subgoal // completion stack: incomplete subgoals, dfn order
 	nextDfn    int
 	stats      Stats
 	parStats   ParStats // SolveAll scheduling counters (parallel.go)
 	depth      int
+
+	// passMark is the trail mark at the current producer activation's
+	// entry: a consumer saved now snapshots the bindings above it.
+	passMark int
+	// noSuspend seals the current context: a tabled call here may not
+	// leave a consumer record (see cutScoped and ErrNonResumable).
+	noSuspend bool
 
 	// premises is the provenance premise stack (see provenance.go):
 	// the tabled answers consumed along the current derivation path.
@@ -320,6 +333,7 @@ func (m *Machine) ResetTables() {
 	m.stack = nil
 	m.complStack = nil
 	m.nextDfn = 0
+	m.noSuspend = false
 	m.stats = Stats{}
 	m.parStats = ParStats{}
 	m.premises = nil
@@ -605,10 +619,13 @@ func (m *Machine) Solve(goal term.Term, yield func() bool) (err error) {
 	mark := m.trail.Mark()
 	defer func() {
 		m.trail.Undo(mark)
-		// A limit throw unwinds past the premise pushes in solveTabled;
-		// rebalance so a later Solve starts from a clean stack.
+		// A limit throw unwinds past the premise pushes in solveTabled
+		// and the producer frames; rebalance so a later Solve starts
+		// from clean stacks.
 		m.premises = m.premises[:0]
 		if r := recover(); r != nil {
+			m.stack = m.stack[:0]
+			m.noSuspend = false
 			if ee, ok := r.(engineError); ok {
 				err = ee.err
 				return

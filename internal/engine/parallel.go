@@ -10,7 +10,7 @@ package engine
 //
 // Why groups, not individual subgoal SCCs. The engine's completion
 // discipline (table.go) already identifies SCCs of the dynamic subgoal
-// dependency graph, but producer-pass and resolution counts inside one
+// dependency graph, but suspension and resumption counts inside one
 // weakly-connected region depend on the order answers arrive, so
 // scheduling its SCCs concurrently cannot reproduce the sequential
 // Stats. Disconnected regions are different: a goal group that shares
@@ -316,7 +316,6 @@ func (m *Machine) mergeShards(goals []term.Term, runs []*shardRun) {
 					}
 				}
 			}
-			sg.watchers = nil // completed tables never wake consumers again
 			m.adoptSubgoal(sg)
 		}
 	}
@@ -354,6 +353,8 @@ func addStats(dst *Stats, s Stats) {
 	dst.Answers += s.Answers
 	dst.ProducerRuns += s.ProducerRuns
 	dst.ProducerPasses += s.ProducerPasses
+	dst.Suspensions += s.Suspensions
+	dst.Resumptions += s.Resumptions
 	dst.TableBytes += s.TableBytes
 	dst.CallBytes += s.CallBytes
 	dst.AnswerBytes += s.AnswerBytes

@@ -7,11 +7,13 @@ import (
 	"testing"
 )
 
-// The leader's dirty-flush loop once indexed the completion stack while
-// nested producer runs popped it (index out of range). This workload —
-// deep tabled call chains with interleaving SCCs — reproduces the
-// pattern: many mutually-dependent tabled predicates where a late
-// answer dirties an already-popped region member.
+// Deep tabled call chains with interleaving SCCs: many mutually
+// dependent predicates where a late answer reaches a region member
+// whose clause pass ended long ago. The leader resumes that member's
+// consumers while nested leaders, created by those resumptions,
+// complete their own regions above it on the completion stack; the
+// query must still see every answer (an early engine lost some to
+// premature completion) and leave every table complete.
 func TestFlushLoopSurvivesCompletionPops(t *testing.T) {
 	src := `
 		:- table a/2, b/2, c/2, d/2, e/2.

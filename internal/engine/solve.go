@@ -83,6 +83,9 @@ func (m *Machine) solveG(goal term.Term, cut *bool, k func() bool) bool {
 			all := append(append([]term.Term{}, base...), args[1:]...)
 			g = term.NewCompound(name, all...)
 		}
+		if containsCut(g) {
+			return m.cutScoped(func(k func() bool) bool { return m.solveG(g, new(bool), k) }, k)
+		}
 		return m.solveG(g, new(bool), k)
 	}
 
@@ -105,18 +108,27 @@ func (m *Machine) solveG(goal term.Term, cut *bool, k func() bool) bool {
 // the condition is evaluated at most to its first solution; cuts inside
 // the condition are local to it.
 func (m *Machine) solveITE(cond, then, els term.Term, cut *bool, k func() bool) bool {
-	condMet := false
-	var stopOuter bool
 	condCut := false
-	m.solveG(cond, &condCut, func() bool {
-		condMet = true
-		stopOuter = m.solveG(then, cut, k)
-		return true // commit to the first condition solution
-	})
-	if condMet {
-		return stopOuter
+	if condMet, stop := m.solveFirst(cond, &condCut, func() bool { return m.solveG(then, cut, k) }); condMet {
+		return stop
 	}
 	return m.solveG(els, cut, k)
+}
+
+// solveFirst proves goal up to its first solution and runs k there,
+// reporting whether goal had a solution and k's stop signal. goal is
+// sealed (a late answer could not undo the commit); k runs unsealed.
+func (m *Machine) solveFirst(goal term.Term, cut *bool, k func() bool) (found, stop bool) {
+	outer := m.noSuspend
+	m.noSuspend = true
+	m.solveG(goal, cut, func() bool {
+		found = true
+		m.noSuspend = outer
+		stop = k()
+		return true // commit to the first solution
+	})
+	m.noSuspend = outer
+	return found, stop
 }
 
 // solveNegation implements negation as failure. The engine does not
@@ -124,10 +136,12 @@ func (m *Machine) solveITE(cond, then, els term.Term, cut *bool, k func() bool) 
 // programs only.
 func (m *Machine) solveNegation(g term.Term, k func() bool) bool {
 	found := false
-	var localCut bool
-	m.solveG(g, &localCut, func() bool {
-		found = true
-		return true
+	m.sealed(func() {
+		var localCut bool
+		m.solveG(g, &localCut, func() bool {
+			found = true
+			return true
+		})
 	})
 	if found {
 		return false
@@ -152,7 +166,13 @@ func (m *Machine) resolveClauses(p *Pred, goal term.Term, k func() bool) bool {
 		mark := m.trail.Mark()
 		head, body := renameClause(cl)
 		if term.Unify(goal, head, &m.trail) {
-			if stop := m.solveGoals(body, &cut, k); stop {
+			var stop bool
+			if cl.hasCut {
+				stop = m.cutScoped(func(k func() bool) bool { return m.solveGoals(body, &cut, k) }, k)
+			} else {
+				stop = m.solveGoals(body, &cut, k)
+			}
+			if stop {
 				m.trail.Undo(mark)
 				if cut {
 					return false
@@ -163,6 +183,47 @@ func (m *Machine) resolveClauses(p *Pred, goal term.Term, k func() bool) bool {
 		m.trail.Undo(mark)
 		if cut {
 			return false
+		}
+	}
+	return false
+}
+
+// sealed runs f with suspension disabled: f proves a goal whose
+// solutions its caller counts, collects, or tests for existence, so a
+// consumer saved inside could never report its late answers.
+func (m *Machine) sealed(f func()) {
+	outer := m.noSuspend
+	m.noSuspend = true
+	f()
+	m.noSuspend = outer
+}
+
+// cutScoped runs a body that holds a cut, sealed until a solution of
+// the body reaches k. A consumer saved ahead of the cut would, when
+// resumed, run the cut after its barrier's frame had returned; once the
+// body has succeeded, the caller's continuation runs unsealed again.
+func (m *Machine) cutScoped(body func(k func() bool) bool, k func() bool) bool {
+	outer := m.noSuspend
+	m.noSuspend = true
+	stop := body(func() bool {
+		m.noSuspend = outer
+		stop := k()
+		m.noSuspend = true
+		return stop
+	})
+	m.noSuspend = outer
+	return stop
+}
+
+// containsCut reports whether goal holds a cut that acts on its
+// enclosing barrier (conservatively including if-then-else conditions).
+func containsCut(goal term.Term) bool {
+	switch g := term.Deref(goal).(type) {
+	case term.Atom:
+		return g == "!"
+	case *term.Compound:
+		if len(g.Args) == 2 && (g.Functor == "," || g.Functor == ";" || g.Functor == "->") {
+			return containsCut(g.Args[0]) || containsCut(g.Args[1])
 		}
 	}
 	return false

@@ -15,6 +15,9 @@ const statsProg = `
 	path(X, Y) :- path(X, Z), edge(Z, Y).
 	start(X) :- atom(X).
 	go(Y) :- start(a), path(a, Y).
+	:- table reach/2.
+	reach(X, Y) :- edge(X, Y).
+	reach(X, Y) :- edge(X, Z), reach(Z, Y).
 `
 
 // statsGE reports whether every counter of a is >= the counter of b.
@@ -25,6 +28,8 @@ func statsGE(a, b Stats) bool {
 		a.Answers >= b.Answers &&
 		a.ProducerRuns >= b.ProducerRuns &&
 		a.ProducerPasses >= b.ProducerPasses &&
+		a.Suspensions >= b.Suspensions &&
+		a.Resumptions >= b.Resumptions &&
 		a.TableBytes >= b.TableBytes
 }
 
@@ -139,12 +144,15 @@ func TestPerPredCountersSumToGlobals(t *testing.T) {
 	if err := m.Consult(statsProg); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{"go(Y)", "path(b, W)"} {
+	for _, q := range []string{"go(Y)", "path(b, W)", "reach(a, W)"} {
 		if _, err := m.Query(q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
 	st := m.Stats()
+	if st.Suspensions == 0 || st.Resumptions == 0 {
+		t.Fatalf("workload exercised no suspension: %+v", st)
+	}
 	var sum obs.PredCounters
 	for _, pc := range tr.PredStats() {
 		sum.Subgoals += pc.Subgoals
@@ -152,6 +160,8 @@ func TestPerPredCountersSumToGlobals(t *testing.T) {
 		sum.Resolutions += pc.Resolutions
 		sum.ProducerRuns += pc.ProducerRuns
 		sum.ProducerPasses += pc.ProducerPasses
+		sum.Suspensions += pc.Suspensions
+		sum.Resumptions += pc.Resumptions
 		sum.Completions += pc.Completions
 		sum.TableBytes += pc.TableBytes
 	}
@@ -170,6 +180,12 @@ func TestPerPredCountersSumToGlobals(t *testing.T) {
 	if sum.ProducerPasses != st.ProducerPasses {
 		t.Errorf("producer passes: per-pred sum %d != global %d", sum.ProducerPasses, st.ProducerPasses)
 	}
+	if sum.Suspensions != st.Suspensions {
+		t.Errorf("suspensions: per-pred sum %d != global %d", sum.Suspensions, st.Suspensions)
+	}
+	if sum.Resumptions != st.Resumptions {
+		t.Errorf("resumptions: per-pred sum %d != global %d", sum.Resumptions, st.Resumptions)
+	}
 	if sum.TableBytes != st.TableBytes {
 		t.Errorf("table bytes: per-pred sum %d != global %d", sum.TableBytes, st.TableBytes)
 	}
@@ -177,6 +193,46 @@ func TestPerPredCountersSumToGlobals(t *testing.T) {
 	// completion events must match the subgoal count.
 	if sum.Completions != st.Subgoals {
 		t.Errorf("completions %d != subgoals %d", sum.Completions, st.Subgoals)
+	}
+}
+
+// TestPerPredCountersAcrossLimitAbort aborts an evaluation while
+// consumers are suspended and checks that the scheduler counters stay
+// monotone and the tracer's per-predicate counters still partition the
+// global ones.
+func TestPerPredCountersAcrossLimitAbort(t *testing.T) {
+	m := New()
+	tr := obs.NewTrace(0)
+	m.SetTracer(tr)
+	if err := m.Consult(statsProg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Query("path(b, W)"); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Stats()
+	// reach(c, _) suspends on reach(a, _) after the fifth new answer;
+	// the limit trips at the seventh, while the cycle is still open.
+	m.Limits.MaxAnswers = before.Answers + 6
+	if _, err := m.Query("reach(a, W)"); !errors.Is(err, ErrAnswerLimit) {
+		t.Fatalf("expected ErrAnswerLimit, got %v", err)
+	}
+	after := m.Stats()
+	if !statsGE(after, before) {
+		t.Fatalf("counters regressed across a limit abort: %+v -> %+v", before, after)
+	}
+	if after.Suspensions == before.Suspensions {
+		t.Fatalf("abort came before any suspension: %+v", after)
+	}
+	var susp, res, passes int
+	for _, pc := range tr.PredStats() {
+		susp += pc.Suspensions
+		res += pc.Resumptions
+		passes += pc.ProducerPasses
+	}
+	if susp != after.Suspensions || res != after.Resumptions || passes != after.ProducerPasses {
+		t.Fatalf("per-pred sums (%d suspensions, %d resumptions, %d passes) != globals %+v",
+			susp, res, passes, after)
 	}
 }
 
@@ -261,7 +317,8 @@ func TestTablesImplsAgree(t *testing.T) {
 	a, b := run(TablesTrie), run(TablesStringMap)
 	if a.Subgoals != b.Subgoals || a.Answers != b.Answers ||
 		a.Resolutions != b.Resolutions || a.BuiltinCalls != b.BuiltinCalls ||
-		a.ProducerRuns != b.ProducerRuns || a.ProducerPasses != b.ProducerPasses {
+		a.ProducerRuns != b.ProducerRuns || a.ProducerPasses != b.ProducerPasses ||
+		a.Suspensions != b.Suspensions || a.Resumptions != b.Resumptions {
 		t.Fatalf("trajectories diverge:\ntrie: %+v\nsmap: %+v", a, b)
 	}
 }

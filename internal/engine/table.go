@@ -10,21 +10,20 @@ import (
 )
 
 // subgoal is one entry in the call table: a tabled call (up to variance)
-// together with its answers and fixpoint bookkeeping.
+// together with its answers and completion bookkeeping.
 //
-// Completion discipline. Subgoals are numbered by creation order (dfn).
-// While a subgoal's producer runs it is "active". A producer pass that
-// reaches an active subgoal records a dependency by lowering the
-// caller's minlink; a pass that reaches an inactive incomplete subgoal
-// re-enters its producer (it may have new answers to derive now that
-// older tables have grown). A producer iterates until a full pass over
-// its clauses adds no answer anywhere in the machine. On exit, a subgoal
-// whose minlink reaches below its own dfn is left incomplete and
-// propagates the link to its parent; a subgoal whose minlink equals its
-// dfn is an SCC leader and completes every incomplete subgoal created
-// since it (all of which belong to its region — had any of them depended
-// below the leader, the link would have propagated to the leader and it
-// would not be a leader).
+// Completion discipline (answer-driven, after XSB's SLG-WAM). Subgoals
+// are numbered by creation order (dfn) and resolved against their
+// clauses exactly once, by runProducer. A tabled call that reaches an
+// incomplete table consumes the answers already there, saves the rest of
+// its derivation as a consumer record on that table, and fails; the
+// dependency lowers the calling producer's minlink. When a producer's
+// clause pass ends with minlink equal to its own dfn, the subgoal is an
+// SCC leader: every incomplete subgoal created since it belongs to its
+// region (had one depended below the leader, the link would have
+// propagated to the leader). The leader resumes the region's consumers
+// with the answers past their cursors until none is behind, then
+// completes the whole region and frees its consumer records.
 type subgoal struct {
 	key  string    // canonical call key (TablesStringMap only)
 	goal term.Term // detached copy of the call
@@ -36,32 +35,36 @@ type subgoal struct {
 	// justs holds one justification per answer, index-aligned with
 	// answers; nil unless the machine records provenance.
 	justs []*Just
-	// provMark is the premise-stack depth at the current producer
-	// activation's entry: addAnswer's premises are the refs above it.
+	// provMark is the premise-stack depth at the entry of the activation
+	// (clause pass or consumer resumption) currently deriving answers for
+	// this subgoal: addAnswer's premises are the refs above it.
 	provMark int
 	// Answer dedup index: answerKeys under TablesStringMap, ansTrie
 	// under TablesTrie.
 	answerKeys map[string]struct{}
 	ansTrie    *term.Trie
 
-	complete     bool
-	active       bool
-	dfn          int
-	minlink      int
-	onComplStack bool
-	// watchers are the subgoals that have consumed answers from this
-	// table; when this table grows they (transitively) become dirty.
-	watchers map[*subgoal]struct{}
-	// dirty marks that some (transitive) dependency's table has grown
-	// since this subgoal's producer last reached its local fixpoint.
-	// Only dirty subgoals are re-entered; without this, chains of
-	// interdependent subgoals re-run each other quadratically or worse.
-	dirty bool
-	// sawIncomplete records whether the current producer pass consumed
-	// any incomplete table. A pass that read only complete tables has
-	// enumerated every derivation against fixed inputs, so no
-	// confirmation pass is needed.
-	sawIncomplete bool
+	complete bool
+	dfn      int
+	minlink  int
+	// consumers are the suspended derivations waiting on this table's
+	// answers; nil once the table is complete.
+	consumers []*consumer
+}
+
+// consumer is a suspended derivation: a tabled call that reached an
+// incomplete table, saved so the SCC leader can feed it the answers the
+// table gains later. Resuming it re-binds the trail segment its
+// producer activation had built up to the call (CHAT-style copying of
+// the bindings, not the stack: the continuation closure already is the
+// rest of the derivation) and runs k once per new answer.
+type consumer struct {
+	owner    *subgoal // the producer whose derivation k continues
+	goal     term.Term
+	k        func() bool
+	binds    []term.Binding // trail since the owner activation's mark
+	premises []AnswerRef    // provenance premises above the owner's provMark
+	cursor   int            // answers of the callee already delivered
 }
 
 // solveTabled resolves a call to a tabled predicate through the table.
@@ -76,37 +79,40 @@ func (m *Machine) solveTabled(p *Pred, goal term.Term, k func() bool) bool {
 	sg, created := m.lookupOrCreate(p, lookup)
 	if created {
 		m.runProducer(sg)
-	} else if !sg.complete && !sg.active && sg.dirty {
-		// Incomplete, not on the producer stack, and some dependency's
-		// table has grown since its last local fixpoint: re-enter.
-		m.runProducer(sg)
 	}
+	owner := m.curProducer()
 	if !sg.complete {
-		if parent := m.curProducer(); parent != nil {
-			// Record the SCC dependency so no ancestor completes before
-			// this subgoal's region does. An active subgoal links by its
-			// own dfn; an inactive incomplete one by its discovered
-			// minlink (it depends on something older still).
-			link := sg.dfn
-			if !sg.active && sg.minlink < link {
-				link = sg.minlink
-			}
-			if link < parent.minlink {
-				parent.minlink = link
-			}
-			// And subscribe the consumer for dirtiness propagation.
-			if sg.watchers == nil {
-				sg.watchers = map[*subgoal]struct{}{}
-			}
-			sg.watchers[parent] = struct{}{}
-			parent.sawIncomplete = true
+		if owner == nil || m.noSuspend {
+			// A sealed context cannot take late answers, and sg's
+			// region waits on a producer still running: answering from
+			// the partial table would silently drop answers.
+			m.throwErr(fmt.Errorf("%w: %v", ErrNonResumable, sg.goal))
+		}
+		// Record the SCC dependency so no ancestor completes before
+		// sg's region does.
+		if sg.minlink < owner.minlink {
+			owner.minlink = sg.minlink
 		}
 	}
+	next, stop := m.consume(sg, goal, 0, k)
+	if stop {
+		return true
+	}
+	if !sg.complete {
+		m.suspend(owner, sg, goal, k, next)
+	}
+	return false
+}
+
+// consume feeds the answers of sg from index from onward to k, each
+// unified with goal, and returns the index past the last answer fed.
+// Answers added meanwhile (by k's own derivations) are fed too.
+func (m *Machine) consume(sg *subgoal, goal term.Term, from int, k func() bool) (int, bool) {
 	unify := term.Unify
 	if m.AbstractUnify != nil {
 		unify = m.AbstractUnify
 	}
-	for i := 0; i < len(sg.answers); i++ {
+	for i := from; i < len(sg.answers); i++ {
 		ans := sg.answers[i]
 		if !sg.answersGnd[i] {
 			// Answers with residual variables must be used via a fresh
@@ -127,12 +133,73 @@ func (m *Machine) solveTabled(p *Pred, goal term.Term, k func() bool) bool {
 			}
 			if stop {
 				m.trail.Undo(mark)
-				return true
+				return i + 1, true
 			}
 		}
 		m.trail.Undo(mark)
 	}
-	return false
+	return len(sg.answers), false
+}
+
+// suspend saves the current derivation as a consumer of sg that has
+// seen sg's first cursor answers.
+func (m *Machine) suspend(owner, sg *subgoal, goal term.Term, k func() bool, cursor int) {
+	c := &consumer{owner: owner, goal: goal, k: k, cursor: cursor, binds: m.trail.Since(m.passMark)}
+	if m.Provenance {
+		c.premises = append([]AnswerRef(nil), m.premises[owner.provMark:]...)
+	}
+	sg.consumers = append(sg.consumers, c)
+	m.stats.Suspensions++
+	if m.tracer != nil {
+		m.tracer.Emit(obs.EvSuspend, sg.pred.Indicator, 0)
+	}
+}
+
+// resume re-enters consumer c of sg: it re-binds c's snapshot on top of
+// the current trail, feeds c the answers past its cursor, and undoes.
+func (m *Machine) resume(sg *subgoal, c *consumer) {
+	saved := m.enter(c.owner)
+	m.premises = append(m.premises, c.premises...)
+	m.trail.Rebind(c.binds)
+	from := c.cursor
+	next, stop := m.consume(sg, c.goal, from, c.k)
+	if stop {
+		// Only a cut or a commit stops a producer's derivation, and
+		// those contexts never suspend; a cut reached through a goal
+		// bound at run time can still get here.
+		m.throwErr(fmt.Errorf("%w: cut after %v", ErrNonResumable, sg.goal))
+	}
+	c.cursor = next
+	m.stats.Resumptions += next - from
+	if m.tracer != nil {
+		m.tracer.Emit(obs.EvResume, sg.pred.Indicator, next-from)
+	}
+	m.trail.Undo(m.passMark)
+	m.premises = m.premises[:c.owner.provMark]
+	m.leave(c.owner, saved)
+}
+
+// activation is the scheduler state a producer activation (a clause
+// pass or a consumer resumption) replaces on entry and restores on exit.
+type activation struct {
+	passMark, provMark int
+	noSuspend          bool
+}
+
+// enter makes sg the current producer: its derivations suspend against
+// the trail mark and premise depth taken here.
+func (m *Machine) enter(sg *subgoal) activation {
+	saved := activation{m.passMark, sg.provMark, m.noSuspend}
+	m.stack = append(m.stack, sg)
+	m.passMark = m.trail.Mark()
+	sg.provMark = len(m.premises)
+	m.noSuspend = false
+	return saved
+}
+
+func (m *Machine) leave(sg *subgoal, saved activation) {
+	m.stack = m.stack[:len(m.stack)-1]
+	m.passMark, sg.provMark, m.noSuspend = saved.passMark, saved.provMark, saved.noSuspend
 }
 
 // useTrie reports whether the machine's tables are trie-indexed.
@@ -170,7 +237,7 @@ func (m *Machine) lookupOrCreate(p *Pred, lookup term.Term) (sg *subgoal, create
 	if sg == nil {
 		sg = &subgoal{}
 	}
-	sg.goal = term.Rename(term.Resolve(lookup), nil)
+	sg.goal = term.Rename(lookup, nil) // Rename follows bindings
 	sg.pred = p
 	sg.idx = len(m.subgoals)
 	if m.useTrie() {
@@ -205,121 +272,42 @@ func (m *Machine) curProducer() *subgoal {
 	return m.stack[len(m.stack)-1]
 }
 
-// runProducer derives answers for sg by resolving its call against the
-// predicate's clauses, iterating until a full pass adds no answer
-// anywhere in the machine.
+// runProducer derives sg's answers with one pass over the predicate's
+// clauses, then either completes sg's region (sg is its SCC leader) or
+// passes its dependency link up to the calling producer.
 func (m *Machine) runProducer(sg *subgoal) {
 	m.stats.ProducerRuns++
+	m.stats.ProducerPasses++
 	if m.tracer != nil {
 		m.tracer.Emit(obs.EvProducerRun, sg.pred.Indicator, 0)
+		m.tracer.Emit(obs.EvProducerPass, sg.pred.Indicator, 0)
 	}
-	if sg.dfn == 0 {
-		m.nextDfn++
-		sg.dfn = m.nextDfn
-	}
-	sg.minlink = sg.dfn
-	sg.active = true
-	// Mark the premise stack for this activation: answers added by the
-	// passes below list only premises consumed above this depth.
-	sg.provMark = len(m.premises)
-	m.stack = append(m.stack, sg)
-	if !sg.onComplStack {
-		sg.onComplStack = true
-		m.complStack = append(m.complStack, sg)
-	}
-
-	for {
-		// Local pass loop: resolve the call against the clauses until
-		// neither this table nor a consumed dependency changes.
-		for {
-			m.stats.ProducerPasses++
+	m.nextDfn++
+	sg.dfn, sg.minlink = m.nextDfn, m.nextDfn
+	m.complStack = append(m.complStack, sg)
+	saved := m.enter(sg)
+	if m.Mode == ModeClosure {
+		m.producePassClosure(sg)
+	} else {
+		for _, cl := range sg.pred.clausesFor(sg.goal) {
+			m.stats.Resolutions++
 			if m.tracer != nil {
-				m.tracer.Emit(obs.EvProducerPass, sg.pred.Indicator, 0)
+				m.tracer.Emit(obs.EvResolutions, sg.pred.Indicator, 1)
 			}
-			ownBefore := len(sg.answers)
-			sg.dirty = false
-			sg.sawIncomplete = false
-			if m.Mode == ModeClosure {
-				m.producePassClosure(sg)
-			} else {
-				for _, cl := range sg.pred.clausesFor(sg.goal) {
-					m.stats.Resolutions++
-					if m.tracer != nil {
-						m.tracer.Emit(obs.EvResolutions, sg.pred.Indicator, 1)
-					}
-					mark := m.trail.Mark()
-					head, body := renameClause(cl)
-					if term.Unify(sg.goal, head, &m.trail) {
-						// nil cut barrier: cut may not cross a table boundary.
-						m.solveGoals(body, nil, func() bool {
-							m.addAnswer(sg, sg.goal, cl)
-							return false
-						})
-					}
-					m.trail.Undo(mark)
-				}
+			mark := m.trail.Mark()
+			head, body := renameClause(cl)
+			if term.Unify(sg.goal, head, &m.trail) {
+				// nil cut barrier: cut may not cross a table boundary.
+				m.solveGoals(body, nil, func() bool {
+					m.addAnswer(sg, sg.goal, cl)
+					return false
+				})
 			}
-			// Re-pass only if something could change the outcome: a
-			// pass that consumed no incomplete table is final, and
-			// otherwise a pass that neither gained answers nor saw a
-			// dependency grow is a fixpoint.
-			if !sg.sawIncomplete {
-				break
-			}
-			if len(sg.answers) == ownBefore && !sg.dirty {
-				break
-			}
-		}
-		if sg.minlink != sg.dfn {
-			// Not an SCC leader: leave the region's stale members to
-			// the leader's flush loop below.
-			break
-		}
-		// Leader: dirtiness is propagated one dependency edge at a time
-		// (an answer marks only its table's direct consumers), so before
-		// completing, re-run any stale member of the region; its new
-		// answers may dirty others (or this leader), in which case we
-		// go around again. Re-running a member can complete nested
-		// regions and pop the completion stack, so restart the scan
-		// after every flush rather than holding an index across it.
-		flushed := false
-	rescan:
-		for {
-			for i := len(m.complStack) - 1; i >= 0; i-- {
-				mem := m.complStack[i]
-				if mem.dfn < sg.dfn {
-					break
-				}
-				if mem != sg && mem.dirty && !mem.active {
-					m.runProducer(mem)
-					flushed = true
-					continue rescan
-				}
-			}
-			break
-		}
-		if !flushed && !sg.dirty {
-			break
+			m.trail.Undo(mark)
 		}
 	}
-	sg.dirty = false
-
-	m.stack = m.stack[:len(m.stack)-1]
-	sg.active = false
-	if sg.minlink == sg.dfn && !m.regionHasActive(sg) {
-		// Leader: complete the whole region created since sg.
-		for len(m.complStack) > 0 {
-			top := m.complStack[len(m.complStack)-1]
-			if top.dfn < sg.dfn {
-				break
-			}
-			top.complete = true
-			top.onComplStack = false
-			m.complStack = m.complStack[:len(m.complStack)-1]
-			if m.tracer != nil {
-				m.tracer.Emit(obs.EvComplete, top.pred.Indicator, 0)
-			}
-		}
+	m.leave(sg, saved)
+	if sg.minlink == sg.dfn && m.completeRegion(sg) {
 		return
 	}
 	if parent := m.curProducer(); parent != nil && sg.minlink < parent.minlink {
@@ -327,41 +315,46 @@ func (m *Machine) runProducer(sg *subgoal) {
 	}
 }
 
-// regionHasActive reports whether sg's completion region (the
-// completion-stack entries numbered since sg) contains a subgoal whose
-// producer frame is still running. Numbering order normally matches
-// producer-stack order, but re-entering an inactive incomplete subgoal
-// nests its (old, low-numbered) frame inside newer ones, so a subgoal
-// can look like an SCC leader while a member's producer is still live
-// below it on the call stack. Completing then freezes tables that the
-// live frame goes on to extend — and answers added to a "complete"
-// table no longer wake its consumers. Such a leader must defer
-// completion to an outer leader instead.
-func (m *Machine) regionHasActive(sg *subgoal) bool {
-	for i := len(m.complStack) - 1; i >= 0; i-- {
-		mem := m.complStack[i]
-		if mem.dfn < sg.dfn {
-			break
-		}
-		if mem != sg && mem.active {
-			return true
+// completeRegion drains the consumers of leader's region — every
+// completion-stack entry from leader up — until none has unconsumed
+// answers, then completes the region. Resumptions run derivations that
+// may reach incomplete tables older than the leader; then the region
+// depends on them, the leader is no leader after all, and completion is
+// left to an outer leader (false is returned). Nested leaders created by
+// resumptions pop only entries above the ones present when they start,
+// so indexing the stack from base stays valid throughout.
+func (m *Machine) completeRegion(leader *subgoal) bool {
+	base := len(m.complStack) - 1
+	for m.complStack[base] != leader {
+		base--
+	}
+	for behind := true; behind; {
+		behind = false
+		for i := base; i < len(m.complStack); i++ {
+			sg := m.complStack[i]
+			for j := 0; j < len(sg.consumers); j++ {
+				if c := sg.consumers[j]; c.cursor < len(sg.answers) {
+					m.resume(sg, c)
+					if c.owner.minlink < leader.minlink {
+						leader.minlink = c.owner.minlink
+					}
+					behind = true
+				}
+			}
 		}
 	}
-	return false
-}
-
-// markWatchersDirty marks the direct consumers of sg's table as needing
-// a producer re-run. Propagation is deliberately one edge deep: a
-// consumer only becomes stale once its direct dependency actually gains
-// answers, which its own re-run then signals onward. (Transitive marking
-// would re-run whole SCCs for every answer.) The leader's flush loop in
-// runProducer guarantees stale members are re-run before completion.
-func markWatchersDirty(sg *subgoal) {
-	for w := range sg.watchers {
-		if !w.complete {
-			w.dirty = true
-		}
+	if leader.minlink < leader.dfn {
+		return false
 	}
+	for _, sg := range m.complStack[base:] {
+		sg.complete = true
+		if m.tracer != nil {
+			m.tracer.Emit(obs.EvComplete, sg.pred.Indicator, len(sg.consumers))
+		}
+		sg.consumers = nil
+	}
+	m.complStack = m.complStack[:base]
+	return true
 }
 
 // addAnswer records the current instance of the subgoal's call as an
@@ -372,25 +365,22 @@ func markWatchersDirty(sg *subgoal) {
 // the first (and only the first) derivation of each answer records it.
 func (m *Machine) addAnswer(sg *subgoal, inst term.Term, cl *Clause) {
 	if sg.complete {
-		// A completed table is frozen: its consumers are never woken
-		// again, so a late answer would be silently unobservable.
+		// A completed table is frozen: its consumer records are gone, so
+		// a late answer would be silently unobservable.
 		m.throwf("internal: answer for completed table %v", sg.goal)
 	}
 	if m.AnswerAbstraction != nil {
 		inst = m.AnswerAbstraction(term.Resolve(inst))
 	}
-	// Count answer derivations toward the context poll. Producers
-	// re-derive every recorded answer on each pass without re-entering
-	// solveG, and per-answer cost grows with answer size, so polling on
-	// solveG entries alone lets cancellation latency grow without bound
-	// on divergent programs.
+	// Count answer derivations toward the context poll: per-answer cost
+	// grows with answer size, so polling on solveG entries alone lets
+	// cancellation latency grow without bound on divergent programs.
 	if m.steps++; m.steps >= ctxCheckInterval {
 		m.steps = 0
 		m.checkCtx()
 	}
 	// Dedup through the table index: a trie walk (allocation-free on the
-	// duplicate path, the hottest case — producers re-derive every
-	// answer on each pass) or a canonical-string map probe.
+	// duplicate path, the hottest case) or a canonical-string map probe.
 	var charge, nodes int
 	var leaf *term.TrieNode
 	var key string
@@ -429,7 +419,7 @@ func (m *Machine) addAnswer(sg *subgoal, inst term.Term, cl *Clause) {
 	} else {
 		sg.answerKeys[key] = struct{}{}
 	}
-	detached := term.Rename(term.Resolve(inst), nil)
+	detached := term.Rename(inst, nil) // Rename follows bindings
 	sg.answers = append(sg.answers, detached)
 	sg.answersGnd = append(sg.answersGnd, term.IsGround(detached))
 	m.stats.Answers++
@@ -442,7 +432,6 @@ func (m *Machine) addAnswer(sg *subgoal, inst term.Term, cl *Clause) {
 			m.tracer.Emit(obs.EvTableNodes, sg.pred.Indicator, nodes)
 		}
 	}
-	markWatchersDirty(sg)
 }
 
 // TableDump is a snapshot of one call-table entry, used by the analyses'

@@ -21,11 +21,13 @@ const (
 	// EvAnswerDup: a derived answer was a variant of a recorded one and
 	// was filtered out.
 	EvAnswerDup
-	// EvProducerRun: a subgoal's producer was (re-)activated.
+	// EvProducerRun: a subgoal's producer was activated (once per
+	// subgoal).
 	EvProducerRun
 	// EvProducerPass: one full clause pass inside a producer.
 	EvProducerPass
-	// EvComplete: a subgoal was marked complete by its SCC leader.
+	// EvComplete: a subgoal was marked complete by its SCC leader; n is
+	// the number of consumer records freed with it.
 	EvComplete
 	// EvResolutions: n clause-head unification attempts were made for
 	// the predicate. Counter-only: it updates the per-predicate totals
@@ -44,6 +46,12 @@ const (
 	// onto a machine shard; n is the number of goals in the group. The
 	// pred field carries the scheduler label, not an indicator.
 	EvParallelGroup
+	// EvSuspend: a tabled call reached an incomplete table of the
+	// predicate and saved its continuation as a consumer record.
+	EvSuspend
+	// EvResume: n answers of the predicate's table were delivered to a
+	// saved consumer. Counter-only, like EvResolutions.
+	EvResume
 )
 
 var kindNames = [...]string{
@@ -57,6 +65,8 @@ var kindNames = [...]string{
 	EvTableNodes:    "table_nodes",
 	EvCompile:       "compile",
 	EvParallelGroup: "parallel_group",
+	EvSuspend:       "suspend",
+	EvResume:        "resume",
 }
 
 func (k EventKind) String() string {
@@ -94,6 +104,8 @@ type PredCounters struct {
 	Resolutions    int    `json:"resolutions"`
 	ProducerRuns   int    `json:"producer_runs"`
 	ProducerPasses int    `json:"producer_passes"`
+	Suspensions    int    `json:"suspensions"`
+	Resumptions    int    `json:"resumptions"`
 	Completions    int    `json:"completions"`
 	TableBytes     int    `json:"table_bytes"`
 	TableNodes     int    `json:"table_nodes"`
@@ -150,6 +162,11 @@ func (t *Trace) Emit(kind EventKind, pred string, n int) {
 		pc.ProducerRuns++
 	case EvProducerPass:
 		pc.ProducerPasses++
+	case EvSuspend:
+		pc.Suspensions++
+	case EvResume:
+		pc.Resumptions += n
+		return // counter-only, keep the ring for structural events
 	case EvComplete:
 		pc.Completions++
 	case EvResolutions:

@@ -175,9 +175,9 @@ func statsTable(st Stats) *harness.Table {
 				st.LintRequests, st.LintDiagnostics),
 			fmt.Sprintf("batch: %d batches, %d items, %d item errors; %d parallel-eligible runs",
 				st.Batches, st.BatchItems, st.BatchItemErrors, st.ParallelRuns),
-			fmt.Sprintf("engine: %d resolutions, %d subgoals, %d answers, %d producer runs, %d table bytes",
+			fmt.Sprintf("engine: %d resolutions, %d subgoals, %d answers, %d suspensions, %d resumptions, %d table bytes",
 				st.Engine.Resolutions, st.Engine.Subgoals, st.Engine.Answers,
-				st.Engine.ProducerRuns, st.Engine.TableBytes),
+				st.Engine.Suspensions, st.Engine.Resumptions, st.Engine.TableBytes),
 		},
 	}
 }

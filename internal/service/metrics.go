@@ -97,8 +97,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	eng("builtin_calls_total", "Builtin calls across executed runs.", st.Engine.BuiltinCalls)
 	eng("subgoals_total", "Distinct tabled subgoals across executed runs.", st.Engine.Subgoals)
 	eng("answers_total", "Distinct tabled answers across executed runs.", st.Engine.Answers)
-	eng("producer_runs_total", "Producer (re-)activations across executed runs.", st.Engine.ProducerRuns)
-	eng("producer_passes_total", "Full producer clause passes across executed runs.", st.Engine.ProducerPasses)
+	eng("producer_runs_total", "Producer activations (one per subgoal) across executed runs.", st.Engine.ProducerRuns)
+	eng("producer_passes_total", "Producer clause passes (one per subgoal) across executed runs.", st.Engine.ProducerPasses)
+	eng("suspensions_total", "Consumer records saved at incomplete tables across executed runs.", st.Engine.Suspensions)
+	eng("resumptions_total", "Answers delivered to saved consumer records across executed runs.", st.Engine.Resumptions)
 	eng("table_bytes_total", "Table space bytes across executed runs.", st.Engine.TableBytes)
 	eng("call_bytes_total", "Table space charged to call-table keys across executed runs.", st.Engine.CallBytes)
 	eng("answer_bytes_total", "Table space charged to answer-table keys across executed runs.", st.Engine.AnswerBytes)

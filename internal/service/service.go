@@ -235,6 +235,7 @@ type Service struct {
 	// Engine-counter aggregates over executed runs (see Stats.Engine).
 	engResolutions, engBuiltinCalls, engSubgoals, engAnswers atomic.Int64
 	engProducerRuns, engProducerPasses, engTableBytes        atomic.Int64
+	engSuspensions, engResumptions                           atomic.Int64
 	engCallBytes, engAnswerBytes, engTableNodes              atomic.Int64
 	engPredsCompiled, engCompileNanos, engProvenanceBytes    atomic.Int64
 
@@ -332,6 +333,8 @@ func (s *Service) Stats() Stats {
 			Answers:         s.engAnswers.Load(),
 			ProducerRuns:    s.engProducerRuns.Load(),
 			ProducerPasses:  s.engProducerPasses.Load(),
+			Suspensions:     s.engSuspensions.Load(),
+			Resumptions:     s.engResumptions.Load(),
 			TableBytes:      s.engTableBytes.Load(),
 			CallBytes:       s.engCallBytes.Load(),
 			AnswerBytes:     s.engAnswerBytes.Load(),
@@ -625,6 +628,8 @@ func (s *Service) run(j *job) (*Response, error) {
 		s.engAnswers.Add(e.Answers)
 		s.engProducerRuns.Add(e.ProducerRuns)
 		s.engProducerPasses.Add(e.ProducerPasses)
+		s.engSuspensions.Add(e.Suspensions)
+		s.engResumptions.Add(e.Resumptions)
 		s.engTableBytes.Add(e.TableBytes)
 		s.engCallBytes.Add(e.CallBytes)
 		s.engAnswerBytes.Add(e.AnswerBytes)

@@ -297,9 +297,13 @@ type EngineReport struct {
 	BuiltinCalls   int64 `json:"builtin_calls"`
 	Subgoals       int64 `json:"subgoals"`
 	Answers        int64 `json:"answers"`
-	ProducerRuns   int64 `json:"producer_runs"`
-	ProducerPasses int64 `json:"producer_passes"`
+	ProducerRuns   int64 `json:"producer_runs"`   // equals Subgoals
+	ProducerPasses int64 `json:"producer_passes"` // equals Subgoals
 	TableBytes     int64 `json:"table_bytes"`
+	// Suspensions counts consumer records saved at incomplete tables;
+	// Resumptions counts answers later delivered to them.
+	Suspensions int64 `json:"suspensions"`
+	Resumptions int64 `json:"resumptions"`
 	// CallBytes + AnswerBytes partition TableBytes between the call
 	// table and the answer tables.
 	CallBytes   int64 `json:"call_bytes"`
@@ -324,6 +328,8 @@ func engineReport(st engine.Stats) *EngineReport {
 		Answers:         int64(st.Answers),
 		ProducerRuns:    int64(st.ProducerRuns),
 		ProducerPasses:  int64(st.ProducerPasses),
+		Suspensions:     int64(st.Suspensions),
+		Resumptions:     int64(st.Resumptions),
 		TableBytes:      int64(st.TableBytes),
 		CallBytes:       int64(st.CallBytes),
 		AnswerBytes:     int64(st.AnswerBytes),

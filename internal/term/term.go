@@ -144,6 +144,34 @@ func (tr *Trail) Undo(mark int) {
 // Len reports the number of currently-trailed bindings.
 func (tr *Trail) Len() int { return len(tr.bound) }
 
+// Binding is one trailed (variable, value) pair.
+type Binding struct {
+	Var *Var
+	Val Term
+}
+
+// Since copies the bindings made since mark, oldest first: a snapshot
+// that Rebind can reinstate after the trail has been undone past mark.
+func (tr *Trail) Since(mark int) []Binding {
+	seg := tr.bound[mark:]
+	if len(seg) == 0 {
+		return nil
+	}
+	out := make([]Binding, len(seg))
+	for i, v := range seg {
+		out[i] = Binding{v, v.Ref}
+	}
+	return out
+}
+
+// Rebind reinstates a snapshot taken by Since, trailing each binding.
+// The snapshot's variables must be unbound.
+func (tr *Trail) Rebind(bs []Binding) {
+	for _, b := range bs {
+		tr.Bind(b.Var, b.Val)
+	}
+}
+
 // Unify unifies a and b, trailing bindings on tr. It returns false and
 // leaves the trail position unchanged in the caller's responsibility:
 // callers should Mark before and Undo on failure if they need atomicity.
@@ -307,21 +335,30 @@ func Vars(t Term) []*Var {
 // their values. The map accumulates the renaming so shared variables stay
 // shared; pass nil for a fresh renaming.
 func Rename(t Term, m map[*Var]*Var) Term {
-	if m == nil {
-		m = map[*Var]*Var{}
-	}
+	r := renamer{m}
+	return r.rename(t)
+}
+
+// renamer allocates its variable map on the first variable, so renaming
+// a ground term costs no map.
+type renamer struct{ m map[*Var]*Var }
+
+func (r *renamer) rename(t Term) Term {
 	switch t := Deref(t).(type) {
 	case *Var:
-		nv, ok := m[t]
+		if r.m == nil {
+			r.m = map[*Var]*Var{}
+		}
+		nv, ok := r.m[t]
 		if !ok {
 			nv = NewVar(t.Name)
-			m[t] = nv
+			r.m[t] = nv
 		}
 		return nv
 	case *Compound:
 		args := make([]Term, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = Rename(a, m)
+			args[i] = r.rename(a)
 		}
 		return &Compound{Functor: t.Functor, Args: args}
 	default:
@@ -334,15 +371,18 @@ func Rename(t Term, m map[*Var]*Var) Term {
 func Resolve(t Term) Term {
 	switch t := Deref(t).(type) {
 	case *Compound:
-		args := make([]Term, len(t.Args))
-		changed := false
+		var args []Term // allocated at the first argument that changes
 		for i, a := range t.Args {
-			args[i] = Resolve(a)
-			if args[i] != t.Args[i] {
-				changed = true
+			r := Resolve(a)
+			if r != a && args == nil {
+				args = make([]Term, len(t.Args))
+				copy(args, t.Args[:i])
+			}
+			if args != nil {
+				args[i] = r
 			}
 		}
-		if !changed {
+		if args == nil {
 			return t
 		}
 		return &Compound{Functor: t.Functor, Args: args}

@@ -54,18 +54,31 @@ const spillFanout = 8
 type TrieNode struct {
 	edges []trieEdge            // small fanout: linear scan
 	big   map[cellKey]*TrieNode // non-nil once fanout spills
-	val   any
-	set   bool
+	val   any                   // payload; nilValue marks a nil payload
 }
+
+// nilValue stands for a nil payload, so an unset node is just val ==
+// nil and needs no separate flag.
+type nilValue struct{}
 
 // Value returns the payload attached to the node and whether SetValue
 // was ever called on it. A leaf with no payload is a prefix of longer
 // terms only.
-func (n *TrieNode) Value() (any, bool) { return n.val, n.set }
+func (n *TrieNode) Value() (any, bool) {
+	if _, isNil := n.val.(nilValue); isNil {
+		return nil, true
+	}
+	return n.val, n.val != nil
+}
 
 // SetValue attaches a payload (nil is a valid payload: the node is then
 // a presence mark, as in answer tables).
-func (n *TrieNode) SetValue(v any) { n.val = v; n.set = true }
+func (n *TrieNode) SetValue(v any) {
+	if v == nil {
+		v = nilValue{}
+	}
+	n.val = v
+}
 
 func (n *TrieNode) child(k cellKey) *TrieNode {
 	if n.big != nil {
@@ -79,9 +92,22 @@ func (n *TrieNode) child(k cellKey) *TrieNode {
 	return nil
 }
 
-func (n *TrieNode) addChild(k cellKey, c *TrieNode) {
+// addChild links c under n. A node's first edge comes from the trie's
+// edge slab (capacity 1, so a second child reallocates normally): most
+// nodes lie on a chain spelling one term and never get a second child.
+func (tr *Trie) addChild(n *TrieNode, k cellKey, c *TrieNode) {
 	if n.big != nil {
 		n.big[k] = c
+		return
+	}
+	if n.edges == nil {
+		if len(tr.edgeSlab) == 0 {
+			tr.edgeChunk = nextChunk(tr.edgeChunk)
+			tr.edgeSlab = make([]trieEdge, tr.edgeChunk)
+		}
+		n.edges = tr.edgeSlab[:1:1]
+		tr.edgeSlab = tr.edgeSlab[1:]
+		n.edges[0] = trieEdge{key: k, child: c}
 		return
 	}
 	if len(n.edges) < spillFanout {
@@ -106,6 +132,28 @@ type Trie struct {
 	// Scratch buffers reused across walks so a hit allocates nothing.
 	stack []Term
 	vars  []*Var
+	// Slabs of preallocated nodes and first edges, handed out in order
+	// so that growing the trie costs one allocation per chunk rather
+	// than per node; chunk sizes double up to maxSlab, so a small trie
+	// wastes at most a few entries.
+	slab             []TrieNode
+	edgeSlab         []trieEdge
+	chunk, edgeChunk int // sizes of the last chunks
+}
+
+const maxSlab = 8
+
+func nextChunk(last int) int { return min(max(2*last, 2), maxSlab) }
+
+// newNode returns a fresh node from the trie's slab.
+func (tr *Trie) newNode() *TrieNode {
+	if len(tr.slab) == 0 {
+		tr.chunk = nextChunk(tr.chunk)
+		tr.slab = make([]TrieNode, tr.chunk)
+	}
+	n := &tr.slab[0]
+	tr.slab = tr.slab[1:]
+	return n
 }
 
 // NewTrie returns an empty trie.
@@ -182,8 +230,8 @@ func (tr *Trie) walk(t Term, create bool) *TrieNode {
 			if !create {
 				return nil
 			}
-			next = &TrieNode{}
-			n.addChild(k, next)
+			next = tr.newNode()
+			tr.addChild(n, k, next)
 			tr.nodes++
 		}
 		n = next

@@ -76,6 +76,7 @@ var (
 	ErrDepthLimit   = engine.ErrDepthLimit
 	ErrAnswerLimit  = engine.ErrAnswerLimit
 	ErrSubgoalLimit = engine.ErrSubgoalLimit
+	ErrNonResumable = engine.ErrNonResumable
 	ErrCanceled     = engine.ErrCanceled
 	ErrDeadline     = engine.ErrDeadline
 )
