@@ -104,14 +104,14 @@ func BenchmarkTable4DepthK(b *testing.B) {
 }
 
 // BenchmarkAblationDynamicVsCompiled regenerates the §4 preprocessing
-// claim: assert-style dynamic loading vs full compilation with indexing
-// vs clauses compiled to Go closures.
+// claim: assert-style dynamic loading vs clauses compiled to Go
+// closures.
 func BenchmarkAblationDynamicVsCompiled(b *testing.B) {
 	for _, p := range corpus.LogicPrograms() {
 		for _, mode := range []struct {
 			name string
 			m    engine.LoadMode
-		}{{"dynamic", engine.LoadDynamic}, {"compiled", engine.LoadCompiled}, {"closure", engine.ModeClosure}} {
+		}{{"dynamic", engine.LoadDynamic}, {"closure", engine.ModeClosure}} {
 			b.Run(mode.name+"/"+p.Name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := prop.Analyze(p.Source, prop.Options{Mode: mode.m}); err != nil {

@@ -42,23 +42,16 @@ import (
 // benchConfig is one gated engine configuration: a table representation
 // plus a clause backend. Names key the entries in BENCH_engine.json.
 type benchConfig struct {
-	name     string
-	tables   engine.TablesImpl
-	mode     engine.LoadMode
-	parallel int
+	name   string
+	tables engine.TablesImpl
+	mode   engine.LoadMode
 }
 
 func benchConfigs() []benchConfig {
 	return []benchConfig{
-		{"trie", engine.TablesTrie, engine.LoadDynamic, 0},
-		{"stringmap", engine.TablesStringMap, engine.LoadDynamic, 0},
-		{"closure", engine.TablesTrie, engine.ModeClosure, 0},
-		// Corpus programs are mostly single-cone (one goal group), so
-		// this entry is not expected to beat the trie sweep — it holds
-		// the group planner's overhead inside the regression band on
-		// workloads that cannot split. The batch gate below is where
-		// parallelism must pay off.
-		{"parallel", engine.TablesTrie, engine.LoadDynamic, 4},
+		{"trie", engine.TablesTrie, engine.LoadDynamic},
+		{"stringmap", engine.TablesStringMap, engine.LoadDynamic},
+		{"closure", engine.TablesTrie, engine.ModeClosure},
 	}
 }
 
@@ -66,12 +59,12 @@ func benchConfigs() []benchConfig {
 // the tabled engine under the given configuration.
 func solveCorpus(tb testing.TB, cfg benchConfig) {
 	for _, p := range corpus.LogicPrograms() {
-		if _, err := prop.Analyze(p.Source, prop.Options{Tables: cfg.tables, Mode: cfg.mode, Parallel: cfg.parallel}); err != nil {
+		if _, err := prop.Analyze(p.Source, prop.Options{Tables: cfg.tables, Mode: cfg.mode}); err != nil {
 			tb.Fatalf("%s: %v", p.Name, err)
 		}
 	}
 	for _, p := range corpus.FuncPrograms() {
-		if _, err := strict.Analyze(p.Source, strict.Options{Tables: cfg.tables, Mode: cfg.mode, Parallel: cfg.parallel}); err != nil {
+		if _, err := strict.Analyze(p.Source, strict.Options{Tables: cfg.tables, Mode: cfg.mode}); err != nil {
 			tb.Fatalf("%s: %v", p.Name, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"xlp/internal/engine"
 	"xlp/internal/obs"
 	"xlp/internal/prop"
+	"xlp/internal/service"
 	"xlp/internal/strict"
 )
 
@@ -25,14 +27,12 @@ type analyzeFlags struct {
 	fs       *flag.FlagSet
 	entry    string
 	k        int
-	compiled bool
 	loadMode string
 	bench    string
 	phases   bool
 	trace    string
 	events   string
 	top      int
-	parallel int
 }
 
 func newAnalyzeFlags(name string, withK bool) *analyzeFlags {
@@ -41,34 +41,25 @@ func newAnalyzeFlags(name string, withK bool) *analyzeFlags {
 	if withK {
 		af.fs.IntVar(&af.k, "k", 2, "term-depth bound")
 	}
-	af.fs.BoolVar(&af.compiled, "compiled", false, "use compiled loading (first-argument indexing); shorthand for -mode compiled")
-	af.fs.StringVar(&af.loadMode, "mode", "", "clause loading mode: dynamic (default), compiled, or closure")
+	af.fs.StringVar(&af.loadMode, "mode", "", "clause loading mode: dynamic (default) or closure")
 	af.fs.StringVar(&af.bench, "bench", "", "analyze a named corpus benchmark instead of a file")
 	af.fs.BoolVar(&af.phases, "phases", false, "print the phase-timing table (parse/transform/load/solve/collect)")
 	af.fs.StringVar(&af.trace, "trace", "", "write a Chrome trace_event file (open in chrome://tracing)")
 	af.fs.StringVar(&af.events, "events", "", "write engine events as JSONL")
 	af.fs.IntVar(&af.top, "top", 0, "print the n largest tables by canonical bytes")
-	af.fs.IntVar(&af.parallel, "parallel", 0, "intra-query parallelism for the solve phase (0 or 1 = sequential); results are identical")
 	return af
 }
 
-// mode resolves -mode (with -compiled as legacy shorthand) to the
-// engine's LoadMode; an unknown name is reported via the error.
+// mode resolves -mode to the engine's LoadMode; an unknown name is
+// reported via the error.
 func (af *analyzeFlags) mode() (engine.LoadMode, error) {
 	switch af.loadMode {
-	case "":
-		if af.compiled {
-			return engine.LoadCompiled, nil
-		}
+	case "", "dynamic":
 		return engine.LoadDynamic, nil
-	case "dynamic":
-		return engine.LoadDynamic, nil
-	case "compiled":
-		return engine.LoadCompiled, nil
 	case "closure":
 		return engine.ModeClosure, nil
 	default:
-		return engine.LoadDynamic, fmt.Errorf("unknown -mode %q (want dynamic, compiled, or closure)", af.loadMode)
+		return engine.LoadDynamic, fmt.Errorf("unknown -mode %q (want dynamic or closure)", af.loadMode)
 	}
 }
 
@@ -149,6 +140,7 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 // runAnalyze dispatches the groundness/strictness/depthk subcommands.
 func runAnalyze(kind string, args []string, stdout, stderr io.Writer) int {
 	af := newAnalyzeFlags(kind, kind == "depthk")
+	asJSON := af.fs.Bool("json", false, "print the analysis-service response JSON instead of the summary line")
 	af.fs.SetOutput(stderr)
 	if err := af.fs.Parse(args); err != nil {
 		return 2
@@ -171,9 +163,10 @@ func runAnalyze(kind string, args []string, stdout, stderr io.Writer) int {
 
 	start := time.Now()
 	var summary string
+	var resp *service.Response
 	switch kind {
 	case "groundness":
-		opts := prop.Options{Mode: mode, Parallel: af.parallel, Timeline: tl, Tracer: tracer}
+		opts := prop.Options{Mode: mode, Timeline: tl, Tracer: tracer}
 		if af.entry != "" {
 			opts.Entry = []string{af.entry}
 		}
@@ -184,8 +177,9 @@ func runAnalyze(kind string, args []string, stdout, stderr io.Writer) int {
 		}
 		summary = fmt.Sprintf("%s: Prop groundness: %d predicates, %d subgoals, %d answers, tables %d bytes",
 			name, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
+		resp = service.FromGroundness(a)
 	case "strictness":
-		opts := strict.Options{Mode: mode, Parallel: af.parallel, Timeline: tl, Tracer: tracer}
+		opts := strict.Options{Mode: mode, Timeline: tl, Tracer: tracer}
 		if af.entry != "" {
 			opts.Entry = []string{af.entry}
 		}
@@ -196,8 +190,9 @@ func runAnalyze(kind string, args []string, stdout, stderr io.Writer) int {
 		}
 		summary = fmt.Sprintf("%s: strictness: %d functions, %d subgoals, %d answers, tables %d bytes",
 			name, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
+		resp = service.FromStrictness(a)
 	case "depthk":
-		opts := depthk.Options{K: af.k, Mode: mode, Parallel: af.parallel, Timeline: tl, Tracer: tracer}
+		opts := depthk.Options{K: af.k, Mode: mode, Timeline: tl, Tracer: tracer}
 		if af.entry != "" {
 			opts.Entry = []string{af.entry}
 		}
@@ -208,13 +203,25 @@ func runAnalyze(kind string, args []string, stdout, stderr io.Writer) int {
 		}
 		summary = fmt.Sprintf("%s: depth-%d groundness: %d predicates, %d subgoals, %d answers, tables %d bytes",
 			name, a.K, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
+		resp = service.FromDepthK(a)
 	default:
 		fmt.Fprintf(stderr, "xlp: unknown analysis %q\n", kind)
 		return 2
 	}
 	wall := time.Since(start)
 
-	fmt.Fprintln(stdout, summary)
+	if *asJSON {
+		// The response struct xlpd returns, so CLI and server output are
+		// schema-identical.
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(resp); err != nil {
+			fmt.Fprintf(stderr, "xlp: %v\n", err)
+			return 1
+		}
+	} else {
+		fmt.Fprintln(stdout, summary)
+	}
 	return af.report(stdout, stderr, tl, tr, wall)
 }
 

@@ -6,10 +6,10 @@
 //
 // Usage:
 //
-//	xlp [-compiled] [-tables] prog.pl ... -q 'goal(X, Y)'
+//	xlp [-tables] prog.pl ... -q 'goal(X, Y)'
 //	xlp prog.pl            # read queries from stdin, one per line
 //	xlp lint [-json] [-fl] [-entry p/n,...] prog.pl ...
-//	xlp groundness|strictness|depthk [-mode m] [-phases] [-trace f] [-events f] [-top n] prog
+//	xlp groundness|strictness|depthk [-mode m] [-json] [-phases] [-trace f] [-events f] [-top n] prog
 //	xlp why [-pred p/n] [-format text|json|dot] [-fl] [-mode m] [-max-nodes n] prog
 //	xlp compile [-dump] [-json] prog
 //	xlp gen [-shape s] [-seed n] [-meta]
@@ -22,6 +22,7 @@
 // disagreement to a minimal counterexample (exit 1 on findings).
 //
 // The analyze subcommands run one analyzer with observability attached:
+// -json prints the analysis-service response (the schema xlpd returns),
 // -phases prints the parse/transform/load/solve/collect wall-time table,
 // -trace writes a Chrome trace_event file (chrome://tracing), -events
 // writes the engine event stream as JSONL, and -top prints the largest
@@ -62,15 +63,11 @@ func main() {
 		}
 	}
 	query := flag.String("q", "", "query to run (default: read queries from stdin)")
-	compiled := flag.Bool("compiled", false, "use compiled loading (first-argument indexing)")
 	dumpTables := flag.Bool("tables", false, "dump call/answer tables after the query")
 	max := flag.Int("n", 0, "stop after n solutions (0 = all)")
 	flag.Parse()
 
 	m := engine.New()
-	if *compiled {
-		m.Mode = engine.LoadCompiled
-	}
 	for _, file := range flag.Args() {
 		data, err := os.ReadFile(file)
 		if err != nil {

@@ -66,7 +66,6 @@ func main() {
 	storeMax := flag.Int("store-max", 0, "disk store entry cap (0 = unlimited)")
 	rate := flag.Float64("rate", 0, "per-client admission rate, requests/s (0 = unlimited)")
 	burst := flag.Int("burst", 0, "per-client admission burst (0 = 2x rate, min 8)")
-	parallel := flag.Int("parallel", 0, "default intra-query parallelism for tabled analyses (0 or 1 = sequential)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	showVersion := flag.Bool("version", false, "print build info and exit")
@@ -95,7 +94,6 @@ func main() {
 		StoreMaxEntries: *storeMax,
 		RateLimit:       *rate,
 		RateBurst:       *burst,
-		DefaultParallel: *parallel,
 	})
 	handler := service.RequestIDMiddleware(svc.Handler())
 	if *withPprof {

@@ -119,95 +119,6 @@ func FuzzCompileSolve(f *testing.F) {
 	})
 }
 
-// FuzzParallelSolve holds the parallel goal-group evaluator
-// (Machine.SolveAll under Limits.MaxParallel) against the sequential
-// one on arbitrary program text: the merged tables — subgoal order,
-// answer order, canonical answer terms, completion marks — and the
-// evaluation counters must be byte-identical. Runs where either side
-// errors are skipped: resource limits are charged per shard in parallel
-// mode, so limit errors can fire asymmetrically near the boundary.
-func FuzzParallelSolve(f *testing.F) {
-	for _, p := range corpus.LogicPrograms() {
-		f.Add(p.Source)
-	}
-	for seed := int64(0); seed < 3; seed++ {
-		for _, shape := range randgen.PrologShapes() {
-			g := randgen.Generate(randgen.Config{Shape: shape, Seed: seed})
-			f.Add(g.Source)
-		}
-	}
-	// Multi-cluster programs — the shapes where grouping actually splits
-	// — plus fallback triggers (shared vars via negation, builtins).
-	for _, s := range parallelSolveHandSeeds {
-		f.Add(s)
-	}
-	limits := engine.Limits{MaxDepth: 1_000, MaxAnswers: 1_000, MaxSubgoals: 300}
-	f.Fuzz(func(t *testing.T, src string) {
-		run := func(par int) (*engine.Machine, error) {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			m := engine.New()
-			m.Limits = limits
-			m.Limits.MaxParallel = par
-			m.SetContext(ctx)
-			if err := m.Consult(src); err != nil {
-				return nil, err
-			}
-			var goals []term.Term
-			for _, ind := range m.Predicates() {
-				goals = append(goals, openCall(ind))
-			}
-			if len(goals) == 0 {
-				return m, nil
-			}
-			return m, m.SolveAll(goals)
-		}
-		seq, errS := run(0)
-		par, errP := run(4)
-		if errS != nil || errP != nil {
-			return
-		}
-		if a, b := canonTables(seq), canonTables(par); a != b {
-			t.Fatalf("parallel tables diverge\nseq:\n%s\npar:\n%s", a, b)
-		}
-		sa, sb := seq.Stats(), par.Stats()
-		sa.CompileNanos, sb.CompileNanos = 0, 0
-		if sa != sb {
-			t.Fatalf("parallel stats diverge\nseq: %+v\npar: %+v", sa, sb)
-		}
-	})
-}
-
-// canonTables renders every table in creation order with canonical
-// (run-independent) variable numbering.
-func canonTables(m *engine.Machine) string {
-	var sb strings.Builder
-	for _, d := range m.DumpTables("") {
-		sb.WriteString(term.Canonical(d.Call))
-		if d.Complete {
-			sb.WriteString(" complete")
-		}
-		sb.WriteByte('\n')
-		for _, a := range d.Answers {
-			sb.WriteString("  ")
-			sb.WriteString(term.Canonical(a))
-			sb.WriteByte('\n')
-		}
-	}
-	return sb.String()
-}
-
-// parallelSolveHandSeeds are handwritten fuzz seeds targeting the group
-// planner's corners: disjoint tabled cones, cones joined through shared
-// base facts, negation, and sequential-fallback triggers.
-var parallelSolveHandSeeds = []string{
-	":- table t0/2.\n:- table t1/2.\ne0(a,b). e0(b,c).\nt0(X,Y) :- e0(X,Y).\nt0(X,Y) :- e0(X,Z), t0(Z,Y).\ne1(u,v). e1(v,w).\nt1(X,Y) :- e1(X,Y).\nt1(X,Y) :- e1(X,Z), t1(Z,Y).",
-	":- table a/1.\n:- table b/1.\nf(1). f(2).\na(X) :- f(X).\nb(X) :- f(X), \\+ a(X).",
-	":- table p/1.\n:- table q/1.\np(z). p(s(X)) :- p(X), X = z.\nq(X) :- p(X) ; p(s(z)).",
-	":- table even/1.\n:- table odd/1.\neven(z).\neven(s(X)) :- odd(X).\nodd(s(X)) :- even(X).\n:- table len/2.\nlen([], z).\nlen([_|T], s(N)) :- len(T, N).",
-	"io(X) :- write(X), nl.\n:- table t/1.\nt(a). t(b).",
-}
-
 // openCall builds "name(V1, ..., Vn)" from an indicator "name/n".
 func openCall(ind string) term.Term {
 	i := strings.LastIndexByte(ind, '/')
@@ -232,4 +143,11 @@ var compileSolveHandSeeds = []string{
 	":- table path/2.\nedge(a,b). edge(b,c). edge(c,a).\npath(X,Y) :- edge(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).",
 	"f(g(X, h(Y)), X, Y).\nq(A, B) :- f(Z, A, B), f(Z, B, A).",
 	"n(z). n(s(X)) :- n(X), X = z.\nnn(X) :- n(X) ; n(s(s(z))).",
+	// Clause-store changes must invalidate compiled code: asserta adds a
+	// clause the cached code lacks, retract shortens the clause list, and
+	// a retract inside a running call must not shift the clauses that
+	// call was compiled from.
+	"p(1). p(2).\nq(X) :- asserta(p(0)), p(X).",
+	"p(1). p(2).\nr(X) :- retract(p(1)), p(X).",
+	"p(1) :- retract(p(2)).\np(2). p(3).",
 }

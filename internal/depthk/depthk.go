@@ -426,11 +426,6 @@ type Options struct {
 	// (default) or canonical-string maps (engine.TablesStringMap).
 	Tables engine.TablesImpl
 	Limits engine.Limits
-	// Parallel bounds intra-query concurrency during the solve phase
-	// (engine.Limits.MaxParallel): independent open calls evaluate on
-	// concurrent machine shards. 0 or 1 solves sequentially. Results
-	// and engine stats are identical either way.
-	Parallel int
 	// Entry restricts the analysis to the given predicates ("p/n", or
 	// bare "p" matching every arity): only they are open-called, so
 	// evaluation explores exactly their call-graph cone. When empty,
@@ -522,7 +517,6 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 	m.Mode = opts.Mode
 	m.Tables = opts.Tables
 	m.Limits = opts.Limits
-	m.Limits.MaxParallel = opts.Parallel
 	m.SetContext(opts.Ctx)
 	m.SetTracer(opts.Tracer)
 	RegisterBuiltins(m, opts.K)

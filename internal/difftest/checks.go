@@ -76,7 +76,6 @@ func Checks() []Check {
 		{Name: "strict-predrename", Lang: randgen.LangFL, Run: strictPredRename},
 		{Name: "strict-eqreorder", Lang: randgen.LangFL, Run: strictEqReorder},
 		{Name: "tables_trie_vs_stringmap", AnyLang: true, Run: tablesTrieVsStringmap},
-		{Name: "parallel_vs_sequential", AnyLang: true, Run: parallelVsSequential},
 		{Name: "provenance_sound", AnyLang: true, Run: provenanceSound},
 		{Name: "store_roundtrip", AnyLang: true, Run: storeRoundtrip},
 	}
@@ -137,16 +136,15 @@ func propVsBDD(m Meta, src string) error {
 	return diffSummaries("prop", "bdd", propSuccessOnly(pr), bddSummary(bd), true)
 }
 
-// loadModes are the three clause-resolution backends the modes_threeway
-// oracle holds against each other: the interpreter (LoadDynamic), the
-// first-argument-indexed interpreter (LoadCompiled), and the closure
-// compiler (ModeClosure).
+// loadModes are the two clause-resolution backends: the interpreter
+// (LoadDynamic) and the closure compiler (ModeClosure). The
+// modes_threeway oracle holds them against each other; it keeps the name
+// it had when a third, first-argument-indexed backend existed.
 var loadModes = []struct {
 	name string
 	mode engine.LoadMode
 }{
 	{"interp", engine.LoadDynamic},
-	{"indexed", engine.LoadCompiled},
 	{"closure", engine.ModeClosure},
 }
 
@@ -168,7 +166,7 @@ func propModeSummary(a *prop.Analysis) map[string]string {
 	return out
 }
 
-// modesThreeway: the three clause-resolution modes must agree exactly —
+// modesThreeway: the clause-resolution modes must agree exactly —
 // answers, groundness, reachability, and recorded call patterns — on
 // every program. Prolog shapes run the groundness analysis open-call
 // and (when the program has an entry) goal-directed; FL shapes run the
@@ -221,15 +219,10 @@ func modesThreeway(m Meta, src string) error {
 	return diffModeSummaries(sums)
 }
 
-// diffModeSummaries holds every mode's summary against the
+// diffModeSummaries holds the closure compiler's summary against the
 // interpreter's.
 func diffModeSummaries(sums []map[string]string) error {
-	for i := 1; i < len(loadModes); i++ {
-		if err := diffSummaries(loadModes[0].name, loadModes[i].name, sums[0], sums[i], false); err != nil {
-			return err
-		}
-	}
-	return nil
+	return diffSummaries(loadModes[0].name, loadModes[1].name, sums[0], sums[1], false)
 }
 
 // propPureIff: native iff/N builtin vs generated pure Prolog clauses.
@@ -577,89 +570,6 @@ func tablesTrieVsStringmap(m Meta, src string) error {
 	return diffEngineStats("trie", "stringmap", dkTrie.EngineStats, dkSmap.EngineStats)
 }
 
-// parGoals is the worker bound the parallel_vs_sequential oracle hands
-// to the analyzers: small enough to schedule on any test machine, large
-// enough that independent goal groups genuinely interleave.
-const parGoals = 4
-
-// parallelVsSequential: intra-query parallel evaluation must be
-// semantically invisible. Every analysis run with options.parallel set
-// must match the sequential run exactly — answers, recorded call
-// patterns, AND the evaluation-trajectory counters (subgoals, answers,
-// resolutions, producer runs/passes), since the group merge replays
-// shard tables in sequential creation order. Runs on every shape, under
-// both the clause interpreter and the closure compiler: Prolog shapes
-// through the groundness analyzer (open-call and, when the program has
-// an entry, goal-directed) plus depth-k on generated programs; FL
-// shapes through the strictness analyzer.
-func parallelVsSequential(m Meta, src string) error {
-	for _, lm := range []struct {
-		name string
-		mode engine.LoadMode
-	}{{"interp", engine.LoadDynamic}, {"closure", engine.ModeClosure}} {
-		if m.Shape.Lang() == randgen.LangFL {
-			seq, err := strict.Analyze(src, strict.Options{Mode: lm.mode})
-			if err != nil {
-				return fmt.Errorf("error: strict %s seq: %w", lm.name, err)
-			}
-			par, err := strict.Analyze(src, strict.Options{Mode: lm.mode, Parallel: parGoals})
-			if err != nil {
-				return fmt.Errorf("error: strict %s par: %w", lm.name, err)
-			}
-			if err := diffSummaries("seq", "par", strictSummary(seq, nil), strictSummary(par, nil), false); err != nil {
-				return err
-			}
-			if err := diffEngineStats("seq", "par", seq.EngineStats, par.EngineStats); err != nil {
-				return err
-			}
-			continue
-		}
-		var opts []prop.Options
-		opts = append(opts, prop.Options{Mode: lm.mode})
-		if m.Entry != "" {
-			opts = append(opts, prop.Options{Mode: lm.mode, Entry: []string{m.Entry}})
-		}
-		for _, o := range opts {
-			seq, err := prop.Analyze(src, o)
-			if err != nil {
-				return fmt.Errorf("error: prop %s seq: %w", lm.name, err)
-			}
-			o.Parallel = parGoals
-			par, err := prop.Analyze(src, o)
-			if err != nil {
-				return fmt.Errorf("error: prop %s par: %w", lm.name, err)
-			}
-			if err := diffSummaries("seq", "par", propModeSummary(seq), propModeSummary(par), false); err != nil {
-				return err
-			}
-			if err := diffEngineStats("seq", "par", seq.EngineStats, par.EngineStats); err != nil {
-				return err
-			}
-		}
-		// Depth-k drives the largest goal sets (one open call per
-		// predicate) through the merge; gated to generated programs for
-		// the same budget reason as the trie oracle.
-		if len(m.Preds) == 0 {
-			continue
-		}
-		seq, err := depthk.Analyze(src, depthk.Options{K: depthkK, Mode: lm.mode})
-		if err != nil {
-			return fmt.Errorf("error: depthk %s seq: %w", lm.name, err)
-		}
-		par, err := depthk.Analyze(src, depthk.Options{K: depthkK, Mode: lm.mode, Parallel: parGoals})
-		if err != nil {
-			return fmt.Errorf("error: depthk %s par: %w", lm.name, err)
-		}
-		if err := diffSummaries("seq", "par", depthkSummary(seq, nil), depthkSummary(par, nil), false); err != nil {
-			return err
-		}
-		if err := diffEngineStats("seq", "par", seq.EngineStats, par.EngineStats); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // provenanceSound: the justification recorder must be a pure observer —
 // (a) enabling it changes no analysis result and no evaluation counter,
 // and (b) every recorded justification re-checks: the producing clause's
@@ -669,10 +579,7 @@ func parallelVsSequential(m Meta, src string) error {
 // analyzer, FL shapes through strictness) and under both the clause
 // interpreter and the closure compiler, whose recording paths differ.
 func provenanceSound(m Meta, src string) error {
-	for _, lm := range []struct {
-		name string
-		mode engine.LoadMode
-	}{{"interp", engine.LoadDynamic}, {"closure", engine.ModeClosure}} {
+	for _, lm := range loadModes {
 		if m.Shape.Lang() == randgen.LangFL {
 			off, err := strict.Analyze(src, strict.Options{Mode: lm.mode})
 			if err != nil {

@@ -72,41 +72,13 @@ func TestTablesImplCorpusSweep(t *testing.T) {
 }
 
 // TestModesThreewayCorpusSweep runs the full benchmark corpus through
-// the modes_threeway oracle: the interpreter, the first-argument-indexed
-// interpreter, and the closure compiler must produce identical analysis
-// results (answers and recorded calls) on every real program.
+// the modes_threeway oracle: the interpreter and the closure compiler
+// must produce identical analysis results (answers and recorded calls)
+// on every real program.
 func TestModesThreewayCorpusSweep(t *testing.T) {
 	c, ok := CheckByName("modes_threeway")
 	if !ok {
 		t.Fatal("modes_threeway not registered")
-	}
-	for _, p := range corpus.LogicPrograms() {
-		p := p
-		t.Run("prolog/"+p.Name, func(t *testing.T) {
-			if err := c.Run(Meta{Shape: randgen.Mixed}, p.Source); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	for _, p := range corpus.FuncPrograms() {
-		p := p
-		t.Run("fl/"+p.Name, func(t *testing.T) {
-			if err := c.Run(Meta{Shape: randgen.FLFirstOrder}, p.Source); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-}
-
-// TestParallelVsSequentialCorpusSweep runs the full benchmark corpus —
-// every Table 1 logic program and every Table 3 functional program —
-// through the parallel_vs_sequential oracle: parallel evaluation must
-// reproduce the sequential answers, call patterns, and evaluation
-// counters exactly on real programs, not just generated ones.
-func TestParallelVsSequentialCorpusSweep(t *testing.T) {
-	c, ok := CheckByName("parallel_vs_sequential")
-	if !ok {
-		t.Fatal("parallel_vs_sequential not registered")
 	}
 	for _, p := range corpus.LogicPrograms() {
 		p := p

@@ -303,17 +303,13 @@ func biRetract(m *Machine, args []term.Term, k func() bool) bool {
 			}
 		}
 		if matched {
+			// A fresh slice: running calls keep iterating the clause
+			// list they started with (the logical update view).
 			p.Clauses = append(p.Clauses[:i:i], p.Clauses[i+1:]...)
 			for j, c := range p.Clauses {
 				c.Nth = j
 			}
-			if p.indexed {
-				p.index = map[string][]*Clause{}
-				p.varFirst = nil
-				for _, c := range p.Clauses {
-					p.addToIndex(c)
-				}
-			}
+			p.closure = nil
 			stop := k()
 			m.trail.Undo(mark)
 			return stop
@@ -362,17 +358,7 @@ func (m *Machine) assertFront(clause term.Term) error {
 	for i, c := range p.Clauses {
 		c.Nth = i
 	}
-	if m.Mode == LoadCompiled {
-		// Rebuild the index for this predicate to preserve order.
-		p.indexed = false
-		p.index = nil
-		p.varFirst = nil
-		p.indexed = true
-		p.index = map[string][]*Clause{}
-		for _, c := range p.Clauses {
-			p.addToIndex(c)
-		}
-	}
+	p.closure = nil
 	return nil
 }
 

@@ -1,17 +1,17 @@
 package engine
 
-// Closure-compiled clause resolution (ModeClosure): the third load mode
-// beside interpreted (LoadDynamic) and first-argument-indexed
-// (LoadCompiled). Predicates are translated by internal/compile into Go
-// closures — specialized head matchers plus body continuation chains —
-// and this file owns the engine side of the contract: the clause loops
-// that frame each activation with a trail checkpoint and the cut
-// barrier, the shared runtime Env, and the per-predicate compile cache.
+// Closure-compiled clause resolution (ModeClosure): the load mode beside
+// the interpreter (LoadDynamic). Predicates are translated by
+// internal/compile into Go closures — specialized head matchers plus
+// body continuation chains — and this file owns the engine side of the
+// contract: the clause loops that frame each activation with a trail
+// checkpoint and the cut barrier, the shared runtime Env, and the
+// per-predicate compile cache.
 //
 // The loops below mirror resolveClauses and runProducer's clause pass
 // line for line (stats, tracer events, mark/undo, barrier handling), so
-// the three modes are observationally equivalent up to resolution
-// counts — the property the difftest three-way oracle checks.
+// the two modes are observationally equivalent up to resolution counts
+// — the property the difftest modes_threeway oracle checks.
 
 import (
 	"sort"
@@ -49,20 +49,32 @@ func (m *Machine) closureEnv() *compile.Env {
 	return m.cenv
 }
 
+// closureCode is a predicate's compiled form together with the clause
+// list it was compiled from. Compiled clauses index that list by their
+// source position, so an asserta or retract during a running call —
+// which replaces Pred.Clauses and renumbers it — cannot shift them.
+type closureCode struct {
+	*compile.Pred
+	clauses []*Clause
+}
+
 // closurePred returns the compiled form of p, translating and caching
 // it on first use. Compile time is charged to Stats and reported to the
 // tracer per predicate; the cache survives ResetTables, so repeated
 // analyses on a warm machine pay nothing.
-func (m *Machine) closurePred(p *Pred) *compile.Pred {
+func (m *Machine) closurePred(p *Pred) *closureCode {
 	if p.closure != nil {
 		return p.closure
 	}
 	start := time.Now()
 	src := make([]compile.Source, len(p.Clauses))
 	for i, cl := range p.Clauses {
-		src[i] = compile.Source{Head: cl.Head, Body: cl.Body, Nth: cl.Nth}
+		src[i] = compile.Source{Head: cl.Head, Body: cl.Body, Nth: i}
 	}
-	p.closure = compile.Predicate(p.Indicator, parsePkey(p.Indicator).arity, src)
+	p.closure = &closureCode{
+		Pred:    compile.Predicate(p.Indicator, parsePkey(p.Indicator).arity, src),
+		clauses: p.Clauses,
+	}
 	ns := time.Since(start).Nanoseconds()
 	m.stats.PredsCompiled++
 	m.stats.CompileNanos += ns
@@ -98,18 +110,18 @@ func (m *Machine) ClausePlans() []*compile.PredPlan {
 // trail checkpoint (the choice point), and the loop owns the clause's
 // cut barrier exactly like the interpreted loop.
 func (m *Machine) resolveClosure(p *Pred, goal term.Term, k func() bool) bool {
-	cp := m.closurePred(p)
+	code := m.closurePred(p)
 	env := m.closureEnv()
 	_, args, _ := term.FunctorArity(goal)
 	cut := false
-	for _, cl := range cp.Select(env, args) {
+	for _, cl := range code.Select(env, args) {
 		m.stats.Resolutions++
 		if m.tracer != nil {
 			m.tracer.Emit(obs.EvResolutions, p.Indicator, 1)
 		}
 		mark := m.trail.Mark()
 		var stop bool
-		if p.Clauses[cl.Nth].hasCut {
+		if code.clauses[cl.Nth].hasCut {
 			stop = m.cutScoped(func(k func() bool) bool { return cl.Run(env, args, &cut, k) }, k)
 		} else {
 			stop = cl.Run(env, args, &cut, k)
@@ -134,10 +146,10 @@ func (m *Machine) resolveClosure(p *Pred, goal term.Term, k func() bool) bool {
 // and fails onward, and the nil cut barrier makes a cut in a tabled
 // body an error, as in the interpreted pass.
 func (m *Machine) producePassClosure(sg *subgoal) {
-	cp := m.closurePred(sg.pred)
+	code := m.closurePred(sg.pred)
 	env := m.closureEnv()
 	_, args, _ := term.FunctorArity(sg.goal)
-	for _, cl := range cp.Select(env, args) {
+	for _, cl := range code.Select(env, args) {
 		m.stats.Resolutions++
 		if m.tracer != nil {
 			m.tracer.Emit(obs.EvResolutions, sg.pred.Indicator, 1)
@@ -146,7 +158,7 @@ func (m *Machine) producePassClosure(sg *subgoal) {
 		// Compiled clauses carry their source index, so provenance maps
 		// back to the same engine clause the interpreted pass would
 		// record — the two backends produce identical justifications.
-		src := sg.pred.Clauses[cl.Nth]
+		src := code.clauses[cl.Nth]
 		cl.Run(env, args, nil, func() bool {
 			m.addAnswer(sg, sg.goal, src)
 			return false

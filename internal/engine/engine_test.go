@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -395,7 +397,7 @@ func TestCompiledModeSameResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := New()
-	m2.Mode = LoadCompiled
+	m2.Mode = ModeClosure
 	if err := m2.Consult(src); err != nil {
 		t.Fatal(err)
 	}
@@ -409,12 +411,13 @@ func TestFirstArgIndexing(t *testing.T) {
 		p(a, 1). p(b, 2). p(c, 3). p(X, 0) :- atom(X).
 	`
 	m := New()
-	m.Mode = LoadCompiled
+	m.Mode = ModeClosure
 	if err := m.Consult(src); err != nil {
 		t.Fatal(err)
 	}
 	eqStrings(t, queryStrings(t, m, "p(b, N)"), []string{"p(b,2)", "p(b,0)"})
-	// Indexed resolution should try fewer clauses than the 4 loaded.
+	// The closure backend's first-argument index should try fewer
+	// clauses than the 4 loaded.
 	before := m.Stats().Resolutions
 	if _, err := m.Query("p(c, N)"); err != nil {
 		t.Fatal(err)
@@ -460,6 +463,84 @@ func TestSolveStopEarly(t *testing.T) {
 	})
 	if err != nil || n != 2 {
 		t.Fatalf("early stop: n=%d err=%v", n, err)
+	}
+}
+
+func parseGoalTerms(t *testing.T, srcs ...string) []term.Term {
+	t.Helper()
+	out := make([]term.Term, len(srcs))
+	for i, s := range srcs {
+		g, _, err := prolog.ParseTerm(s)
+		if err != nil {
+			t.Fatalf("goal %q: %v", s, err)
+		}
+		out[i] = g
+	}
+	return out
+}
+
+// TestSolveAllErrorEarliestGoal: SolveAll blames the first failing goal
+// by index, wraps the sentinel, and leaves the machine reusable.
+func TestSolveAllErrorEarliestGoal(t *testing.T) {
+	var sb strings.Builder
+	// n0 and n2 diverge past the answer limit; n1 is finite.
+	for i := 0; i < 3; i++ {
+		fmt.Fprintf(&sb, ":- table n%d/1.\nn%d(z).\n", i, i)
+		if i != 1 {
+			fmt.Fprintf(&sb, "n%d(s(X)) :- n%d(X).\n", i, i)
+		}
+	}
+	m := newMachine(t, sb.String())
+	m.Limits.MaxAnswers = 50
+	goals := parseGoalTerms(t, "n1(X)", "n0(X)", "n2(X)")
+	err := m.SolveAll(goals)
+	if !errors.Is(err, ErrAnswerLimit) {
+		t.Fatalf("want ErrAnswerLimit, got %v", err)
+	}
+	var ge *GoalError
+	if !errors.As(err, &ge) || ge.Index != 1 {
+		t.Fatalf("want GoalError{Index: 1}, got %#v", err)
+	}
+	m.ResetTables()
+	m.Limits.MaxAnswers = 0
+	if err := m.SolveAll(goals[:1]); err != nil {
+		t.Fatalf("reuse after failed run: %v", err)
+	}
+}
+
+// TestSolveAllReuseAfterResetTables: SolveAll is repeatable on one
+// closure-mode machine across ResetTables (the compile cache survives,
+// the tables do not), producing identical tables.
+func TestSolveAllReuseAfterResetTables(t *testing.T) {
+	var sb strings.Builder
+	var goalSrcs []string
+	for i := 0; i < 4; i++ {
+		fmt.Fprintf(&sb, ":- table tc%d/2.\ne%d(1,2). e%d(2,3). e%d(3,1).\n", i, i, i, i)
+		fmt.Fprintf(&sb, "tc%d(X,Y) :- e%d(X,Y).\ntc%d(X,Y) :- e%d(X,Z), tc%d(Z,Y).\n", i, i, i, i, i)
+		goalSrcs = append(goalSrcs, fmt.Sprintf("tc%d(X,Y)", i))
+	}
+	m := New()
+	m.Mode = ModeClosure
+	mustConsult(t, m, sb.String())
+	goals := parseGoalTerms(t, goalSrcs...)
+	var first string
+	for round := 0; round < 3; round++ {
+		if err := m.SolveAll(goals); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		var dump strings.Builder
+		for _, d := range m.DumpTables("") {
+			fmt.Fprintf(&dump, "%s complete=%v\n", term.Canonical(d.Call), d.Complete)
+			for _, a := range d.Answers {
+				fmt.Fprintf(&dump, "  %s\n", term.Canonical(a))
+			}
+		}
+		if round == 0 {
+			first = dump.String()
+		} else if dump.String() != first {
+			t.Fatalf("round %d tables diverge from round 0:\n%s\nvs\n%s", round, dump.String(), first)
+		}
+		m.ResetTables()
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package engine implements a tabled logic-programming engine in the
 // spirit of the XSB system used by the paper: SLD resolution for
 // non-tabled predicates, variant-based tabling for tabled predicates,
-// dynamic clause loading ("assert") and a compiled mode with
-// first-argument indexing.
+// dynamic clause loading ("assert") and a compiled mode that translates
+// clauses into Go closures (closure.go).
 //
 // Completeness. For tabled predicates the engine computes the full set of
 // answers of the minimal model restricted to the call, terminating
@@ -13,10 +13,7 @@
 // each SCC of subgoals completes when no consumer is behind (see
 // table.go). Every subgoal's clauses are resolved exactly once.
 //
-// The Machine is not safe for concurrent use. Intra-query parallelism
-// goes through SolveAll (parallel.go), which forks shard machines over
-// the shared immutable program and merges their tables back — callers
-// never touch a machine from two goroutines.
+// The Machine is not safe for concurrent use.
 package engine
 
 import (
@@ -42,18 +39,14 @@ const (
 	// LoadDynamic stores clauses as parsed (XSB's assert + call/1 path):
 	// minimal preprocessing, linear clause scan at call time.
 	LoadDynamic LoadMode = iota
-	// LoadCompiled additionally normalizes clause bodies and builds a
-	// first-argument index per predicate: more preprocessing, faster
-	// resolution.
-	LoadCompiled
 	// ModeClosure additionally translates every predicate into Go
 	// closures (internal/compile): head unification is specialized per
 	// clause, clause selection dispatches through an index keyed by
-	// interned symbols, and bodies become continuation chains. The
-	// highest preprocessing cost and the fastest resolution — the "true
-	// compilation" side of the paper's §4 tradeoff. Tabling semantics
-	// are unchanged: calls still go through the call/answer tables, only
-	// the SLD resolution inside a subgoal runs compiled.
+	// interned symbols, and bodies become continuation chains. More
+	// preprocessing and faster resolution — the compiled side of the
+	// paper's §4 tradeoff. Tabling semantics are unchanged: calls still
+	// go through the call/answer tables, only the SLD resolution inside
+	// a subgoal runs compiled.
 	ModeClosure
 )
 
@@ -70,11 +63,6 @@ type Limits struct {
 	// Past the budget answers still get a record of their producing
 	// clause, but premises are dropped and the record marked Truncated.
 	MaxProvNodes int
-	// MaxParallel bounds intra-query concurrency in SolveAll (see
-	// parallel.go): independent goal groups evaluate on up to
-	// MaxParallel machine shards. 0 or 1 evaluates sequentially. Under
-	// a parallel run the other limits apply per shard, not globally.
-	MaxParallel int
 }
 
 func (l Limits) maxDepth() int {
@@ -176,14 +164,11 @@ type Pred struct {
 	Tabled    bool
 	Clauses   []*Clause
 
-	indexed  bool
-	index    map[string][]*Clause // principal-functor key of first arg
-	varFirst []*Clause            // clauses whose first head arg is a variable
-
 	// closure is the cached compiled form (ModeClosure); nil until first
-	// use and invalidated by Assert. It survives ResetTables so repeated
-	// analyses on a warm machine reuse compiled code.
-	closure *compile.Pred
+	// use and invalidated by every clause-store change (assert, asserta,
+	// retract). It survives ResetTables so repeated analyses on a warm
+	// machine reuse compiled code.
+	closure *closureCode
 }
 
 // Builtin is the implementation of a built-in predicate. It must call k
@@ -276,7 +261,6 @@ type Machine struct {
 	complStack []*subgoal // completion stack: incomplete subgoals, dfn order
 	nextDfn    int
 	stats      Stats
-	parStats   ParStats // SolveAll scheduling counters (parallel.go)
 	depth      int
 
 	// passMark is the trail mark at the current producer activation's
@@ -335,7 +319,6 @@ func (m *Machine) ResetTables() {
 	m.nextDfn = 0
 	m.noSuspend = false
 	m.stats = Stats{}
-	m.parStats = ParStats{}
 	m.premises = nil
 	m.provNodes = 0
 }
@@ -434,9 +417,6 @@ func (m *Machine) assertAt(clause term.Term, pos prolog.Pos) error {
 	cl.compile()
 	p.Clauses = append(p.Clauses, cl)
 	p.closure = nil // invalidate cached closure code
-	if m.Mode == LoadCompiled {
-		p.addToIndex(cl)
-	}
 	return nil
 }
 
@@ -471,9 +451,6 @@ func (m *Machine) ConsultTerms(clauses []term.Term) error {
 
 // finishLoad runs the mode-specific preprocessing after a batch load.
 func (m *Machine) finishLoad() {
-	if m.Mode == LoadCompiled {
-		m.buildIndexes()
-	}
 	if m.Mode == ModeClosure {
 		// Compile eagerly so the cost is paid at load time (the paper's
 		// preprocessing phase), not inside the first query's solve time.
@@ -525,85 +502,6 @@ func parseIndicator(t term.Term) (string, error) {
 	return fmt.Sprintf("%s/%d", name, arity), nil
 }
 
-// buildIndexes (re)builds first-argument indexes for every predicate.
-// This is the "full compilation" preprocessing step of the paper's §4
-// comparison; its cost is charged to preprocessing time by the harness.
-func (m *Machine) buildIndexes() {
-	for _, p := range m.preds {
-		p.indexed = true
-		p.index = map[string][]*Clause{}
-		p.varFirst = nil
-		for _, cl := range p.Clauses {
-			p.addToIndex(cl)
-		}
-	}
-}
-
-func (p *Pred) addToIndex(cl *Clause) {
-	if !p.indexed {
-		p.indexed = true
-		p.index = map[string][]*Clause{}
-	}
-	key, isVar := firstArgKey(cl.Head)
-	if isVar {
-		p.varFirst = append(p.varFirst, cl)
-		// A clause with variable first argument matches every call; it
-		// must appear in every bucket. Buckets created later copy
-		// varFirst, existing buckets get it appended here.
-		for k := range p.index {
-			p.index[k] = insertOrdered(p.index[k], cl)
-		}
-		return
-	}
-	if _, ok := p.index[key]; !ok {
-		p.index[key] = append([]*Clause{}, p.varFirst...)
-	}
-	p.index[key] = insertOrdered(p.index[key], cl)
-}
-
-func insertOrdered(cls []*Clause, cl *Clause) []*Clause {
-	cls = append(cls, cl)
-	for i := len(cls) - 1; i > 0 && cls[i-1].Nth > cls[i].Nth; i-- {
-		cls[i-1], cls[i] = cls[i], cls[i-1]
-	}
-	return cls
-}
-
-// firstArgKey returns the index key of a clause head's first argument.
-func firstArgKey(head term.Term) (key string, isVar bool) {
-	_, args, _ := term.FunctorArity(head)
-	if len(args) == 0 {
-		return "$noargs", false
-	}
-	switch a := term.Deref(args[0]).(type) {
-	case *term.Var:
-		return "", true
-	case term.Atom:
-		return "a:" + string(a), false
-	case term.Int:
-		return fmt.Sprintf("i:%d", a), false
-	case *term.Compound:
-		return fmt.Sprintf("s:%s/%d", a.Functor, len(a.Args)), false
-	}
-	return "$other", false
-}
-
-// clausesFor returns the candidate clauses for a call, using the
-// first-argument index when available.
-func (p *Pred) clausesFor(goal term.Term) []*Clause {
-	if !p.indexed {
-		return p.Clauses
-	}
-	key, isVar := firstArgKey(goal)
-	if isVar {
-		return p.Clauses
-	}
-	if cls, ok := p.index[key]; ok {
-		return cls
-	}
-	return p.varFirst
-}
-
 // engineError carries an evaluation error out of deep recursion.
 type engineError struct{ err error }
 
@@ -635,6 +533,30 @@ func (m *Machine) Solve(goal term.Term, yield func() bool) (err error) {
 	}()
 	m.depth = 0
 	m.solve(goal, yield)
+	return nil
+}
+
+// GoalError wraps an evaluation error with the index of the SolveAll
+// goal whose evaluation produced it, so callers can attribute the
+// failure (the analyzers name the predicate being analyzed). It is
+// transparent to errors.Is/errors.As via Unwrap.
+type GoalError struct {
+	Index int // index into the SolveAll goal list
+	Err   error
+}
+
+func (e *GoalError) Error() string { return e.Err.Error() }
+func (e *GoalError) Unwrap() error { return e.Err }
+
+// SolveAll proves each goal in order, enumerating and discarding every
+// solution — the analyses' solve phase. The first evaluation error is
+// returned as a *GoalError.
+func (m *Machine) SolveAll(goals []term.Term) error {
+	for i, g := range goals {
+		if err := m.Solve(g, func() bool { return false }); err != nil {
+			return &GoalError{Index: i, Err: err}
+		}
+	}
 	return nil
 }
 

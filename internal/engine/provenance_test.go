@@ -31,7 +31,7 @@ func provMachine(t *testing.T, mode LoadMode, tables TablesImpl) *Machine {
 }
 
 func TestProvenanceRecordsEveryAnswer(t *testing.T) {
-	for _, mode := range []LoadMode{LoadDynamic, LoadCompiled, ModeClosure} {
+	for _, mode := range []LoadMode{LoadDynamic, ModeClosure} {
 		for _, tables := range []TablesImpl{TablesTrie, TablesStringMap} {
 			m := provMachine(t, mode, tables)
 			sols := q(t, m, "path(a, X)")

@@ -150,7 +150,7 @@ func (m *Machine) solveNegation(g term.Term, k func() bool) bool {
 }
 
 // resolveClauses is ordinary SLD resolution over the predicate's clauses
-// (first-argument indexed in compiled mode). It owns a cut barrier: a
+// (closure-compiled in ModeClosure). It owns a cut barrier: a
 // cut in a clause body commits to that clause and to the bindings made
 // so far in the body.
 func (m *Machine) resolveClauses(p *Pred, goal term.Term, k func() bool) bool {
@@ -158,7 +158,7 @@ func (m *Machine) resolveClauses(p *Pred, goal term.Term, k func() bool) bool {
 		return m.resolveClosure(p, goal, k)
 	}
 	cut := false
-	for _, cl := range p.clausesFor(goal) {
+	for _, cl := range p.Clauses {
 		m.stats.Resolutions++
 		if m.tracer != nil {
 			m.tracer.Emit(obs.EvResolutions, p.Indicator, 1)

@@ -231,7 +231,7 @@ func TestSupplementaryTablingAgreement(t *testing.T) {
 	}
 }
 
-// TestLoadModesAgreeOnCorpus: dynamic and compiled loading give the same
+// TestLoadModesAgreeOnCorpus: dynamic and closure-compiled loading give the same
 // groundness results everywhere.
 func TestLoadModesAgreeOnCorpus(t *testing.T) {
 	if testing.Short() {
@@ -242,7 +242,7 @@ func TestLoadModesAgreeOnCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := prop.Analyze(p.Source, prop.Options{Mode: engine.LoadCompiled})
+		c, err := prop.Analyze(p.Source, prop.Options{Mode: engine.ModeClosure})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,10 +42,6 @@ const (
 	// EvCompile: the predicate was translated to closure code
 	// (ModeClosure); n is the compile time in nanoseconds.
 	EvCompile
-	// EvParallelGroup: SolveAll scheduled one independent goal group
-	// onto a machine shard; n is the number of goals in the group. The
-	// pred field carries the scheduler label, not an indicator.
-	EvParallelGroup
 	// EvSuspend: a tabled call reached an incomplete table of the
 	// predicate and saved its continuation as a consumer record.
 	EvSuspend
@@ -55,18 +51,17 @@ const (
 )
 
 var kindNames = [...]string{
-	EvSubgoalNew:    "subgoal_new",
-	EvAnswerNew:     "answer_new",
-	EvAnswerDup:     "answer_dup",
-	EvProducerRun:   "producer_run",
-	EvProducerPass:  "producer_pass",
-	EvComplete:      "complete",
-	EvResolutions:   "resolutions",
-	EvTableNodes:    "table_nodes",
-	EvCompile:       "compile",
-	EvParallelGroup: "parallel_group",
-	EvSuspend:       "suspend",
-	EvResume:        "resume",
+	EvSubgoalNew:   "subgoal_new",
+	EvAnswerNew:    "answer_new",
+	EvAnswerDup:    "answer_dup",
+	EvProducerRun:  "producer_run",
+	EvProducerPass: "producer_pass",
+	EvComplete:     "complete",
+	EvResolutions:  "resolutions",
+	EvTableNodes:   "table_nodes",
+	EvCompile:      "compile",
+	EvSuspend:      "suspend",
+	EvResume:       "resume",
 }
 
 func (k EventKind) String() string {
@@ -110,7 +105,6 @@ type PredCounters struct {
 	TableBytes     int    `json:"table_bytes"`
 	TableNodes     int    `json:"table_nodes"`
 	CompileNs      int64  `json:"compile_ns,omitempty"`
-	ParallelGroups int    `json:"parallel_groups,omitempty"`
 }
 
 // Trace is an EngineTracer that records events into a bounded ring
@@ -177,8 +171,6 @@ func (t *Trace) Emit(kind EventKind, pred string, n int) {
 		return // counter-only, keep the ring for structural events
 	case EvCompile:
 		pc.CompileNs += int64(n)
-	case EvParallelGroup:
-		pc.ParallelGroups++
 	}
 	ev := Event{At: time.Since(t.t0), Kind: kind, Pred: pred, N: n}
 	t.total++

@@ -19,7 +19,7 @@ import (
 // Options configure an analysis run.
 type Options struct {
 	// Mode selects dynamic loading (the paper's recommended assert-based
-	// path) or full compilation with indexing (§4's comparison point).
+	// path) or closure compilation (§4's comparison point).
 	Mode engine.LoadMode
 	// Tables selects the engine's table representation: trie-indexed
 	// (default) or the canonical-string maps kept for differential
@@ -42,11 +42,6 @@ type Options struct {
 	PureIff bool
 	// Limits are passed to the engine.
 	Limits engine.Limits
-	// Parallel bounds intra-query concurrency during the solve phase
-	// (engine.Limits.MaxParallel): independent analysis goals evaluate
-	// on concurrent machine shards. 0 or 1 solves sequentially. Results
-	// and engine stats are identical either way.
-	Parallel int
 	// Ctx, when non-nil, cancels the analysis: the engine polls it
 	// during evaluation and the run fails with engine.ErrCanceled or
 	// engine.ErrDeadline once it is done.
@@ -261,7 +256,6 @@ func analyzeClauses(clauses []term.Term, clausePos map[term.Term]prolog.Pos, opt
 	m.Mode = opts.Mode
 	m.Tables = opts.Tables
 	m.Limits = opts.Limits
-	m.Limits.MaxParallel = opts.Parallel
 	m.Provenance = opts.Provenance
 	m.SetContext(opts.Ctx)
 	m.SetTracer(opts.Tracer)
@@ -319,9 +313,7 @@ func analyzeClauses(clauses []term.Term, clausePos map[term.Term]prolog.Pos, opt
 		// not depend on it, but the evaluation trajectory (resolution and
 		// producer-pass counts) does; a map-order walk here made those
 		// counters differ from run to run on the same input, which the
-		// tables_trie_vs_stringmap oracle compares exactly. SolveAll
-		// preserves this order (and its stats) even when opts.Parallel
-		// splits the goals across machine shards.
+		// tables_trie_vs_stringmap oracle compares exactly.
 		inds := make([]string, 0, len(tf.Preds))
 		for ind := range tf.Preds {
 			inds = append(inds, ind)

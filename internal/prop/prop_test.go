@@ -250,7 +250,7 @@ func TestCompiledModeMatchesDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Analyze(appendSrc, Options{Mode: engine.LoadCompiled})
+	a2, err := Analyze(appendSrc, Options{Mode: engine.ModeClosure})
 	if err != nil {
 		t.Fatal(err)
 	}

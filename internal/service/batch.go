@@ -29,9 +29,6 @@ type batchRequest struct {
 	// completes validation+execution, in item order. The Accept header
 	// (application/x-ndjson, text/event-stream) also selects it.
 	Stream bool `json:"stream,omitempty"`
-	// Parallel is a batch-wide default for items that leave
-	// options.parallel unset.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // batchItemResult is one item's outcome. Exactly one of Response and
@@ -80,9 +77,6 @@ func (s *Service) runBatch(ctx context.Context, br *batchRequest, emit func(batc
 	var wg sync.WaitGroup
 	for i := range br.Items {
 		it := &br.Items[i]
-		if it.Options.Parallel == 0 {
-			it.Options.Parallel = br.Parallel
-		}
 		wg.Add(1)
 		go func(i int, it *batchItem) {
 			defer wg.Done()

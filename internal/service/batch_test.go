@@ -183,52 +183,17 @@ func TestBatchValidation(t *testing.T) {
 		{"empty", batchRequest{}},
 		{"oversized", batchRequest{Items: make([]batchItem, MaxBatchItems+1)}},
 		{"unknown field", map[string]any{"programs": []any{}}},
+		// A field the batch body no longer has is rejected, not ignored.
+		{"removed field parallel", map[string]any{
+			"items":    []any{map[string]any{"kind": "groundness", "source": batchGoodSrc}},
+			"parallel": 2,
+		}},
 	}
 	for _, tc := range cases {
 		hr, body := post(t, srv.URL+"/v1/batch", tc.body)
 		if hr.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d: %s", tc.name, hr.StatusCode, body)
 		}
-	}
-}
-
-// TestBatchParallelNeutral: options.parallel (and the batch-level
-// default) changes scheduling only — responses are identical to
-// sequential ones, and both share one cache entry.
-func TestBatchParallelNeutral(t *testing.T) {
-	s := newTestService(t, Config{Workers: 2})
-	seqReq := &Request{Kind: KindGroundness, Source: batchGoodSrc}
-	parReq := &Request{Kind: KindGroundness, Source: batchGoodSrc, Options: Options{Parallel: 4}}
-	if seqReq.CacheKey() != parReq.CacheKey() {
-		t.Fatal("parallel split the cache key")
-	}
-	seq, err := s.Do(context.Background(), seqReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := s.Do(context.Background(), parReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Cached {
-		t.Error("parallel request missed the cache entry of its sequential twin")
-	}
-	if a, b := normalize(seq), normalize(par); !jsonEqual(t, a, b) {
-		t.Errorf("parallel response differs:\n%+v\nvs\n%+v", a, b)
-	}
-
-	// A fresh service with a server-wide default still yields the same
-	// (normalized) response.
-	s2 := newTestService(t, Config{Workers: 2, DefaultParallel: 4})
-	def, err := s2.Do(context.Background(), &Request{Kind: KindGroundness, Source: batchGoodSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := normalize(seq), normalize(def); !jsonEqual(t, a, b) {
-		t.Errorf("DefaultParallel response differs:\n%+v\nvs\n%+v", a, b)
-	}
-	if st := s2.Stats(); st.ParallelRuns != 1 {
-		t.Errorf("want 1 parallel-eligible run, got %+v", st)
 	}
 }
 
@@ -293,18 +258,4 @@ func TestBatchShutdown(t *testing.T) {
 	}
 	srv.Close()
 	testutil.AssertNoLeaks(t, before)
-}
-
-// jsonEqual compares two values by their canonical JSON encoding.
-func jsonEqual(t *testing.T, a, b any) bool {
-	t.Helper()
-	ja, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Equal(ja, jb)
 }

@@ -173,8 +173,8 @@ func statsTable(st Stats) *harness.Table {
 				st.UptimeSeconds, st.PeakInFlight, st.PeakQueueDepth),
 			fmt.Sprintf("lint: %d requests, %d diagnostics",
 				st.LintRequests, st.LintDiagnostics),
-			fmt.Sprintf("batch: %d batches, %d items, %d item errors; %d parallel-eligible runs",
-				st.Batches, st.BatchItems, st.BatchItemErrors, st.ParallelRuns),
+			fmt.Sprintf("batch: %d batches, %d items, %d item errors",
+				st.Batches, st.BatchItems, st.BatchItemErrors),
 			fmt.Sprintf("engine: %d resolutions, %d subgoals, %d answers, %d suspensions, %d resumptions, %d table bytes",
 				st.Engine.Resolutions, st.Engine.Subgoals, st.Engine.Answers,
 				st.Engine.Suspensions, st.Engine.Resumptions, st.Engine.TableBytes),

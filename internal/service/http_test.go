@@ -143,10 +143,46 @@ func TestHTTPErrors(t *testing.T) {
 		{"parse error", "/v1/analyze/groundness", apiRequest{Source: "a :- ."}, http.StatusUnprocessableEntity},
 		{"query without goal", "/v1/query", apiRequest{Source: "a."}, http.StatusBadRequest},
 		{"unknown field", "/v1/query", map[string]any{"prog": "a."}, http.StatusBadRequest},
+		// Options the service no longer has are rejected, not ignored.
+		{"mode compiled", "/v1/analyze/groundness", apiRequest{Source: "a.", Options: Options{Mode: "compiled"}}, http.StatusBadRequest},
+		{"options.parallel", "/v1/analyze/groundness",
+			map[string]any{"source": "a.", "options": map[string]any{"parallel": 4}}, http.StatusBadRequest},
 	} {
 		hr, body := post(t, srv.URL+tc.path, tc.body)
 		if hr.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, hr.StatusCode, tc.status, body)
+		}
+	}
+}
+
+// TestHTTPQueryClosureClauseStoreChange: a query goal that changes the
+// clause store must see the change under the closure backend exactly as
+// under the interpreter. Stale compiled code misses the asserted clause,
+// and after the retract it indexes past the end of the clause list: a
+// panic in a worker, which takes the whole server down.
+func TestHTTPQueryClosureClauseStoreChange(t *testing.T) {
+	_, srv := newTestServer(t)
+	for _, tc := range []struct {
+		goal string
+		n    int
+	}{{"asserta(p(0)), p(X)", 3}, {"retract(p(1)), p(X)", 1}} {
+		var sols [2][]string
+		for i, mode := range []string{"dynamic", "closure"} {
+			hr, body := post(t, srv.URL+"/v1/query", apiRequest{
+				Source:  "p(1). p(2).",
+				Options: Options{Goal: tc.goal, Mode: mode},
+			})
+			if hr.StatusCode != http.StatusOK {
+				t.Fatalf("%s (%s): status %d: %s", tc.goal, mode, hr.StatusCode, body)
+			}
+			var resp Response
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			sols[i] = resp.Solutions
+		}
+		if len(sols[0]) != tc.n || strings.Join(sols[0], ";") != strings.Join(sols[1], ";") {
+			t.Errorf("%s: interpreter %v, closure %v", tc.goal, sols[0], sols[1])
 		}
 	}
 }

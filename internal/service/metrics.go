@@ -61,8 +61,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("xlpd_batch_requests_total", "Accepted /v1/batch requests.", float64(st.Batches))
 	pw.Counter("xlpd_batch_items_total", "Programs submitted through /v1/batch.", float64(st.BatchItems))
 	pw.Counter("xlpd_batch_item_errors_total", "Batch items that failed (batches themselves never fail on item errors).", float64(st.BatchItemErrors))
-	pw.Counter("xlpd_parallel_runs_total", "Executed analyses eligible for intra-query parallel evaluation (effective parallelism > 1).", float64(st.ParallelRuns))
-	pw.Gauge("xlpd_parallel_default", "Server-wide default intra-query parallelism (xlpd -parallel).", float64(s.cfg.DefaultParallel))
 	if st.Store != nil {
 		pw.Counter("xlpd_store_hits_total", "Requests served from the disk-backed result store.", float64(st.Store.Hits))
 		pw.Counter("xlpd_store_misses_total", "Disk store lookups that found no usable entry.", float64(st.Store.Misses))

@@ -80,11 +80,6 @@ type Config struct {
 	// MaxClients bounds the admission controller's per-client state
 	// (least-recently-seen clients are evicted). Default 1024.
 	MaxClients int
-	// DefaultParallel is the intra-query concurrency applied to tabled
-	// analysis requests that leave options.parallel unset (xlpd
-	// -parallel). 0 or 1 evaluates sequentially. Results are identical
-	// at every setting.
-	DefaultParallel int
 }
 
 func (c Config) withDefaults() Config {
@@ -128,6 +123,8 @@ type flight struct {
 
 // job is one queued unit of work.
 type job struct {
+	// ctx is the leading request's context: the run ends with it, and
+	// joiners whose own contexts are still live then retry (see Do).
 	ctx context.Context
 	req *Request
 	key string
@@ -139,7 +136,11 @@ type Stats struct {
 	Requests uint64 `json:"requests"` // accepted requests (past validation)
 	Hits     uint64 `json:"hits"`     // served from the result cache
 	Misses   uint64 `json:"misses"`   // led a fresh computation
-	Deduped  uint64 `json:"deduped"`  // joined an identical in-flight request
+	// Deduped counts requests that joined an identical in-flight
+	// request. A joiner that re-runs after the leader's context ended is
+	// counted by the path that finally serves it instead, so no request
+	// is counted twice across Hits, Misses and Deduped.
+	Deduped  uint64 `json:"deduped"`
 	Executed uint64 `json:"executed"` // analyses actually run by workers
 	Failures uint64 `json:"failures"` // executions that returned an error
 
@@ -164,10 +165,6 @@ type Stats struct {
 	Batches         uint64 `json:"batches"`
 	BatchItems      uint64 `json:"batch_items"`
 	BatchItemErrors uint64 `json:"batch_item_errors"`
-	// ParallelRuns counts executed analyses whose solve phase was
-	// eligible for intra-query parallelism (effective parallelism > 1,
-	// from options.parallel or the server default).
-	ParallelRuns uint64 `json:"parallel_runs"`
 
 	// Store snapshots the disk-backed result store's counters; nil when
 	// the store is disabled.
@@ -227,7 +224,7 @@ type Service struct {
 	requests, hits, misses, deduped, executed, failures atomic.Uint64
 	lintRequests, lintDiagnostics                       atomic.Uint64
 	shedQueue, shedRate, streams                        atomic.Uint64
-	batches, batchItems, batchItemErrors, parallelRuns  atomic.Uint64
+	batches, batchItems, batchItemErrors                atomic.Uint64
 	inFlightN                                           atomic.Int64
 	peakInFlight, peakQueueDepth                        atomic.Int64
 	preprocUs, analysisUs, collectionUs                 atomic.Int64
@@ -313,7 +310,6 @@ func (s *Service) Stats() Stats {
 		Batches:         s.batches.Load(),
 		BatchItems:      s.batchItems.Load(),
 		BatchItemErrors: s.batchItemErrors.Load(),
-		ParallelRuns:    s.parallelRuns.Load(),
 		Store:           diskStats,
 		QueueDepth:      len(s.jobs),
 		InFlight:        int(s.inFlightN.Load()),
@@ -407,61 +403,72 @@ func (s *Service) Do(ctx context.Context, req *Request) (*Response, error) {
 	}
 
 	key := req.CacheKey()
-	if resp, ok := s.cache.Get(key); ok {
-		s.hits.Add(1)
-		s.logger.Info("cache hit", "req", reqID, "kind", req.Kind, "key", key[:12])
-		hit := resp.shallowCopy()
-		hit.Cached = true
-		return hit, nil
-	}
-	if resp, ok := s.storeGet(key); ok {
-		// Warm restart path: the disk store under the LRU has this
-		// result from a previous process (or an evicted LRU entry).
-		// Promote it so repeats are memory hits.
-		s.hits.Add(1)
-		s.cache.Add(key, resp)
-		s.logger.Info("disk store hit", "req", reqID, "kind", req.Kind, "key", key[:12])
-		hit := resp.shallowCopy()
-		hit.Cached, hit.Stored = true, true
-		return hit, nil
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if f, ok := s.inflight[key]; ok {
-		// An identical request is already queued or running: join it.
-		s.mu.Unlock()
-		s.deduped.Add(1)
-		s.logger.Info("joined in-flight computation", "req", reqID, "kind", req.Kind, "key", key[:12])
-		resp, err := s.wait(ctx, f)
-		if err != nil {
-			return nil, err
+	for {
+		if resp, ok := s.cache.Get(key); ok {
+			s.hits.Add(1)
+			s.logger.Info("cache hit", "req", reqID, "kind", req.Kind, "key", key[:12])
+			hit := resp.shallowCopy()
+			hit.Cached = true
+			return hit, nil
 		}
-		resp = resp.shallowCopy()
-		resp.Deduped = true
-		return resp, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[key] = f
-	j := &job{ctx: ctx, req: req, key: key, f: f}
-	select {
-	case s.jobs <- j:
-	default:
-		delete(s.inflight, key)
+		if resp, ok := s.storeGet(key); ok {
+			// Warm restart path: the disk store under the LRU has this
+			// result from a previous process (or an evicted LRU entry).
+			// Promote it so repeats are memory hits.
+			s.hits.Add(1)
+			s.cache.Add(key, resp)
+			s.logger.Info("disk store hit", "req", reqID, "kind", req.Kind, "key", key[:12])
+			hit := resp.shallowCopy()
+			hit.Cached, hit.Stored = true, true
+			return hit, nil
+		}
+
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return nil, ErrClosed
+		}
+		if f, ok := s.inflight[key]; ok {
+			// An identical request is already queued or running: join it.
+			s.mu.Unlock()
+			s.logger.Info("joined in-flight computation", "req", reqID, "kind", req.Kind, "key", key[:12])
+			resp, err := s.wait(ctx, f)
+			if err != nil && ctx.Err() == nil &&
+				(errors.Is(err, engine.ErrCanceled) || errors.Is(err, engine.ErrDeadline)) {
+				// The flight ran on its leader's context, which ended;
+				// this request's has not. Failures are never cached, so
+				// go round again: a later flight, or a fresh run led by
+				// this request.
+				s.logger.Info("in-flight leader gave up; retrying", "req", reqID, "kind", req.Kind, "key", key[:12])
+				continue
+			}
+			s.deduped.Add(1)
+			if err != nil {
+				return nil, err
+			}
+			resp = resp.shallowCopy()
+			resp.Deduped = true
+			return resp, nil
+		}
+		f := &flight{done: make(chan struct{})}
+		s.inflight[key] = f
+		j := &job{ctx: ctx, req: req, key: key, f: f}
+		select {
+		case s.jobs <- j:
+		default:
+			delete(s.inflight, key)
+			s.mu.Unlock()
+			f.err = ErrQueueFull
+			close(f.done)
+			s.shedQueue.Add(1)
+			s.logger.Warn("queue full", "req", reqID, "kind", req.Kind)
+			return nil, ErrQueueFull
+		}
 		s.mu.Unlock()
-		f.err = ErrQueueFull
-		close(f.done)
-		s.shedQueue.Add(1)
-		s.logger.Warn("queue full", "req", reqID, "kind", req.Kind)
-		return nil, ErrQueueFull
+		updateMax(&s.peakQueueDepth, int64(len(s.jobs)))
+		s.misses.Add(1)
+		return s.wait(ctx, f)
 	}
-	s.mu.Unlock()
-	updateMax(&s.peakQueueDepth, int64(len(s.jobs)))
-	s.misses.Add(1)
-	return s.wait(ctx, f)
 }
 
 // updateMax raises a high-water mark to v if v exceeds it.
@@ -597,20 +604,9 @@ func (s *Service) run(j *job) (*Response, error) {
 		tracer = watch
 		defer s.debug.finish(watch)
 	}
-	req := j.req
-	if req.Options.Parallel == 0 && s.cfg.DefaultParallel > 0 && kindRunsEngine(req.Kind) {
-		// Apply the server-wide parallelism default on a copy: the
-		// caller's request (and its cache key) must not change.
-		r2 := *req
-		r2.Options.Parallel = s.cfg.DefaultParallel
-		req = &r2
-	}
-	if req.Options.Parallel > 1 && kindRunsEngine(req.Kind) {
-		s.parallelRuns.Add(1)
-	}
-	s.logger.Info("executing", "req", reqID, "kind", req.Kind, "parallel", req.Options.Parallel)
+	s.logger.Info("executing", "req", reqID, "kind", j.req.Kind)
 	t0 := time.Now()
-	resp, err := execute(j.ctx, req, tracer)
+	resp, err := execute(j.ctx, j.req, tracer)
 	if err != nil {
 		s.failures.Add(1)
 		s.logger.Warn("execution failed",
@@ -658,14 +654,13 @@ func execute(ctx context.Context, req *Request, tracer obs.EngineTracer) (*Respo
 	switch req.Kind {
 	case KindGroundness:
 		a, err := prop.Analyze(req.Source, prop.Options{
-			Mode:     o.engineMode(),
-			Tables:   o.engineTables(),
-			Entry:    o.Entry,
-			Slice:    o.Slice,
-			Limits:   o.engineLimits(),
-			Parallel: o.Parallel,
-			Ctx:      ctx,
-			Tracer:   tracer,
+			Mode:   o.engineMode(),
+			Tables: o.engineTables(),
+			Entry:  o.Entry,
+			Slice:  o.Slice,
+			Limits: o.engineLimits(),
+			Ctx:    ctx,
+			Tracer: tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -690,7 +685,6 @@ func execute(ctx context.Context, req *Request, tracer obs.EngineTracer) (*Respo
 			Entry:           o.Entry,
 			Slice:           o.Slice,
 			Limits:          o.engineLimits(),
-			Parallel:        o.Parallel,
 			NoSupplementary: o.NoSupplementary,
 			Ctx:             ctx,
 			Tracer:          tracer,
@@ -707,7 +701,6 @@ func execute(ctx context.Context, req *Request, tracer obs.EngineTracer) (*Respo
 			Entry:           o.Entry,
 			Slice:           o.Slice,
 			Limits:          o.engineLimits(),
-			Parallel:        o.Parallel,
 			NoSupplementary: o.NoSupplementary,
 			Ctx:             ctx,
 			Tracer:          tracer,

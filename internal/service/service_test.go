@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"reflect"
 	"sync"
 	"testing"
@@ -278,6 +279,100 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
+// TestSingleFlightJoinerOutlivesLeaderCancel: the shared run belongs to
+// the first requester's context, so when that requester cancels, a
+// joiner whose own context is live must not inherit the cancel. It
+// re-runs instead. Log lines and counters order the steps: no sleeps.
+func TestSingleFlightJoinerOutlivesLeaderCancel(t *testing.T) {
+	joined := &logBarrier{msg: "joined in-flight computation", hit: make(chan struct{}, 1)}
+	s := newTestService(t, Config{Workers: 1, QueueSize: 4, Logger: slog.New(joined)})
+
+	// Occupy the only worker, so the shared request waits in the queue.
+	blockCtx, unblock := context.WithCancel(context.Background())
+	defer unblock()
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := s.Do(blockCtx, &Request{Kind: KindQuery, Source: divergentSrc, Options: Options{Goal: "slow"}})
+		blocked <- err
+	}()
+	awaitStats(t, s, func(st Stats) bool { return st.InFlight == 1 }, "one running request")
+
+	req := &Request{Kind: KindQuery, Source: "q(1). q(2).", Options: Options{Goal: "q(X)"}}
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	led := make(chan error, 1)
+	go func() {
+		_, err := s.Do(leaderCtx, req)
+		led <- err
+	}()
+	awaitStats(t, s, func(st Stats) bool { return st.Misses == 2 }, "a queued leader")
+	type result struct {
+		resp *Response
+		err  error
+	}
+	joiner := make(chan result, 1)
+	go func() {
+		resp, err := s.Do(context.Background(), req)
+		joiner <- result{resp, err}
+	}()
+	<-joined.hit
+
+	cancelLeader()
+	if err := <-led; !errors.Is(err, engine.ErrCanceled) {
+		t.Fatalf("leader: want ErrCanceled, got %v", err)
+	}
+	// The worker now dequeues the leader's job, whose context has ended.
+	unblock()
+	if err := <-blocked; !errors.Is(err, engine.ErrCanceled) {
+		t.Fatalf("blocker: want ErrCanceled, got %v", err)
+	}
+	r := <-joiner
+	if r.err != nil {
+		t.Fatalf("joiner inherited the leader's cancel: %v", r.err)
+	}
+	if want := []string{"q(1)", "q(2)"}; !reflect.DeepEqual(r.resp.Solutions, want) {
+		t.Fatalf("joiner solutions %v, want %v", r.resp.Solutions, want)
+	}
+	st := s.Stats()
+	if st.Hits+st.Misses+st.Deduped != st.Requests {
+		t.Errorf("hits %d + misses %d + deduped %d != requests %d",
+			st.Hits, st.Misses, st.Deduped, st.Requests)
+	}
+	if _, ok := s.cache.Get(req.CacheKey()); !ok {
+		t.Error("the joiner's own run was not cached")
+	}
+}
+
+// logBarrier is a slog handler that signals hit once per record whose
+// message is msg, so a test can wait until a request reaches that point.
+type logBarrier struct {
+	msg string
+	hit chan struct{}
+}
+
+func (b *logBarrier) Enabled(context.Context, slog.Level) bool { return true }
+func (b *logBarrier) WithAttrs([]slog.Attr) slog.Handler       { return b }
+func (b *logBarrier) WithGroup(string) slog.Handler            { return b }
+func (b *logBarrier) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == b.msg {
+		b.hit <- struct{}{}
+	}
+	return nil
+}
+
+// awaitStats polls the service counters until cond holds.
+func awaitStats(t *testing.T, s *Service, cond func(Stats) bool, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond(s.Stats()) {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("service never reached %s", what)
+}
+
 // TestQueueFull checks the bounded queue fails fast when saturated.
 func TestQueueFull(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueSize: 1})
@@ -299,17 +394,6 @@ func TestQueueFull(t *testing.T) {
 	// order. Submitting both concurrently races the second request
 	// against the worker's dequeue of the first: if it loses, it bounces
 	// off the still-full queue and the pool never saturates.
-	await := func(cond func(Stats) bool, what string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if cond(s.Stats()) {
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		t.Fatalf("pool never reached %s", what)
-	}
 	occupy := func(i int) {
 		wg.Add(1)
 		go func() {
@@ -318,9 +402,9 @@ func TestQueueFull(t *testing.T) {
 		}()
 	}
 	occupy(0)
-	await(func(st Stats) bool { return st.InFlight == 1 && st.QueueDepth == 0 }, "one running request")
+	awaitStats(t, s, func(st Stats) bool { return st.InFlight == 1 && st.QueueDepth == 0 }, "one running request")
 	occupy(1)
-	await(func(st Stats) bool { return st.InFlight == 1 && st.QueueDepth == 1 }, "one running + one queued request")
+	awaitStats(t, s, func(st Stats) bool { return st.InFlight == 1 && st.QueueDepth == 1 }, "one running + one queued request")
 	_, err := s.Do(context.Background(), unique(2))
 	if !errors.Is(err, ErrQueueFull) {
 		t.Errorf("want ErrQueueFull, got %v", err)
@@ -383,7 +467,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	diff := []*Request{
 		{Kind: KindGAIA, Source: "a(1)."},
 		{Kind: KindGroundness, Source: "a(2)."},
-		{Kind: KindGroundness, Source: "a(1).", Options: Options{Mode: "compiled"}},
+		{Kind: KindGroundness, Source: "a(1).", Options: Options{Mode: "closure"}},
 		{Kind: KindGroundness, Source: "a(1).", Options: Options{Entry: []string{"a(X)"}}},
 	}
 	for i, r := range diff {
@@ -396,6 +480,28 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	k2 := &Request{Kind: KindDepthK, Source: "a(1).", Options: Options{K: 2}}
 	if k0.CacheKey() != k2.CacheKey() {
 		t.Error("depthk K=0 and K=2 should share a key")
+	}
+}
+
+// TestCacheKeysStable pins the content addresses of default groundness,
+// strictness and depth-k requests and of a closure-mode request. The
+// disk store is keyed by them, so a change to Options or to its
+// canonicalization that moves a key orphans every stored result.
+func TestCacheKeysStable(t *testing.T) {
+	const logic = "ap([], L, L).\nap([H|T], L, [H|R]) :- ap(T, L, R).\n"
+	const fn = "ap(nil, Ys) = Ys.\nap(cons(X, Xs), Ys) = cons(X, ap(Xs, Ys)).\n"
+	for _, tc := range []struct {
+		req  *Request
+		want string
+	}{
+		{&Request{Kind: KindGroundness, Source: logic}, "0e781d064fe6fd39a688d0b3bd95783d80880ed11732838782ffc7e2691ce876"},
+		{&Request{Kind: KindStrictness, Source: fn}, "4366e6a6ed7e5155214e6a2e39fd2bc7c57113addefea9536141f5ce14636650"},
+		{&Request{Kind: KindDepthK, Source: logic}, "48dd6e03da510110a0fcc3fb6cca3394eede0c63059a24219283b2a2029186bd"},
+		{&Request{Kind: KindGroundness, Source: logic, Options: Options{Mode: "closure"}}, "1b1ac16230dc00ab6d53a9b7e21fad6ac587024c1a1d323a76498dd031b9b4af"},
+	} {
+		if got := tc.req.CacheKey(); got != tc.want {
+			t.Errorf("%s mode %q: key %s, want %s", tc.req.Kind, tc.req.Options.Mode, got, tc.want)
+		}
 	}
 }
 

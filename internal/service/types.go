@@ -62,9 +62,9 @@ func (k Kind) Valid() bool {
 // irrelevant to a request's kind are ignored (and zeroed during
 // canonicalization so they cannot split the cache).
 type Options struct {
-	// Mode selects clause loading: "dynamic" (default), "compiled"
-	// (first-argument indexing), or "closure" (clauses compiled to Go
-	// closures; same answers, different cost profile).
+	// Mode selects clause loading: "dynamic" (default) or "closure"
+	// (clauses compiled to Go closures; same answers, different cost
+	// profile).
 	Mode string `json:"mode,omitempty"`
 	// Tables selects the engine's table representation: "trie" (default)
 	// or "stringmap" (the canonical-string baseline). Answer sets are
@@ -109,12 +109,6 @@ type Options struct {
 	MaxDepth    int `json:"max_depth,omitempty"`
 	MaxAnswers  int `json:"max_answers,omitempty"`
 	MaxSubgoals int `json:"max_subgoals,omitempty"`
-	// Parallel bounds intra-query concurrency for the tabled analyzers
-	// (engine SolveAll shards): 0 uses the server default (xlpd
-	// -parallel), 1 forces sequential evaluation. Results, engine
-	// counters, and provenance are identical at every setting, so the
-	// field never splits the cache.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // Request is one unit of work for the service.
@@ -140,7 +134,7 @@ func (r *Request) Validate() error {
 		return fmt.Errorf("%w: query without goal", ErrBadRequest)
 	}
 	switch r.Options.Mode {
-	case "", "dynamic", "compiled", "closure":
+	case "", "dynamic", "closure":
 	default:
 		return fmt.Errorf("%w: unknown mode %q", ErrBadRequest, r.Options.Mode)
 	}
@@ -159,9 +153,6 @@ func (r *Request) Validate() error {
 	}
 	if r.Options.MaxNodes < 0 {
 		return fmt.Errorf("%w: negative max_nodes", ErrBadRequest)
-	}
-	if r.Options.Parallel < 0 {
-		return fmt.Errorf("%w: negative parallel", ErrBadRequest)
 	}
 	return nil
 }
@@ -226,11 +217,6 @@ func (r *Request) canonicalOptions() Options {
 	// Streaming is a transport choice: a streamed and a buffered request
 	// for the same analysis share one cache entry.
 	o.Stream = false
-	// Parallel changes only how the solve phase is scheduled, never the
-	// answers or the engine counters (the parallel_vs_sequential oracle
-	// holds the engine to that), so parallel and sequential runs of the
-	// same request share one cache entry.
-	o.Parallel = 0
 	return o
 }
 
@@ -254,14 +240,10 @@ func (r *Request) CacheKey() string {
 
 // engineMode maps the wire mode to the engine's LoadMode.
 func (o Options) engineMode() engine.LoadMode {
-	switch o.Mode {
-	case "compiled":
-		return engine.LoadCompiled
-	case "closure":
+	if o.Mode == "closure" {
 		return engine.ModeClosure
-	default:
-		return engine.LoadDynamic
 	}
+	return engine.LoadDynamic
 }
 
 // engineTables maps the wire tables impl to the engine's TablesImpl.
@@ -278,7 +260,6 @@ func (o Options) engineLimits() engine.Limits {
 		MaxDepth:    o.MaxDepth,
 		MaxAnswers:  o.MaxAnswers,
 		MaxSubgoals: o.MaxSubgoals,
-		MaxParallel: o.Parallel,
 	}
 }
 

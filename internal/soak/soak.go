@@ -164,10 +164,9 @@ type probe struct {
 	stream bool
 	warm   bool // replayed in the warm phase when it succeeded
 
-	// batch items (class "batch"); sent as {"items": ..., "parallel": ...}
-	// instead of body.
-	batch         []batchProbeItem
-	batchParallel int
+	// batch items (class "batch"); sent as {"items": ...} instead of
+	// body.
+	batch []batchProbeItem
 }
 
 // batchProbeItem is one /v1/batch item template. expectErr marks items
@@ -276,28 +275,17 @@ func buildProbes() []probe {
 			body: apiBody{Source: divergentSrc, Options: service.Options{Goal: "slow"}, TimeoutMs: 25},
 		},
 	)
-	// Parallel evaluation probes: the same analyses with intra-query
-	// parallelism requested. options.parallel never splits the cache
-	// key, so these race their sequential twins above for one shared
-	// cache entry — exercising key neutrality under load.
-	for seed := int64(0); seed < 2; seed++ {
-		p := analyzeReq(randgen.Mixed, seed, randgen.Config{})
-		p.name = "par-" + p.name
-		p.body.Options.Parallel = 4
-		ps = append(ps, p)
-	}
 	// Batch probes: several programs per request, items running
 	// concurrently through the worker pool; the partial variant carries
 	// known-bad items whose failure must stay contained to their slots.
 	batchItems := []batchProbeItem{
-		{Kind: service.KindGroundness, Options: service.Options{Parallel: 2}, Source: ":- table anc/2.\n" +
+		{Kind: service.KindGroundness, Source: ":- table anc/2.\n" +
 			"par(a,b). par(b,c). par(c,d).\nanc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y)."},
 		{Kind: service.KindQuery, Source: "d(1). d(2). d(3).", Options: service.Options{Goal: "d(X)"}},
 		{Kind: service.KindLint, Source: "ap([], L, L).\nap([H|T], L, [H|R]) :- ap(T, L, R)."},
 	}
 	ps = append(ps,
-		probe{name: "batch-mixed", path: "/v1/batch", class: "batch",
-			batch: batchItems, batchParallel: 2},
+		probe{name: "batch-mixed", path: "/v1/batch", class: "batch", batch: batchItems},
 		probe{name: "batch-partial", path: "/v1/batch", class: "batch",
 			batch: append(batchItems[:2:2],
 				batchProbeItem{Kind: service.KindGroundness, Source: "p(", expectErr: true},
@@ -397,9 +385,8 @@ func (d *daemon) do(p probe, client string, cancelAfter time.Duration) outcome {
 	var err error
 	if len(p.batch) > 0 {
 		buf, err = json.Marshal(struct {
-			Items    []batchProbeItem `json:"items"`
-			Parallel int              `json:"parallel,omitempty"`
-		}{p.batch, p.batchParallel})
+			Items []batchProbeItem `json:"items"`
+		}{p.batch})
 	} else {
 		buf, err = json.Marshal(p.body)
 	}

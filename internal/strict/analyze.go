@@ -77,11 +77,6 @@ type Options struct {
 	// (default) or canonical-string maps (engine.TablesStringMap).
 	Tables engine.TablesImpl
 	Limits engine.Limits
-	// Parallel bounds intra-query concurrency during the solve phase
-	// (engine.Limits.MaxParallel): independent sp goals evaluate on
-	// concurrent machine shards. 0 or 1 solves sequentially. Results
-	// and engine stats are identical either way.
-	Parallel int
 	// Entry restricts the analysis to the given functions ("f/n", or
 	// bare "f" matching every arity): only their sp predicates are
 	// demanded, so evaluation explores exactly their call-graph cone.
@@ -261,7 +256,6 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 	m.Mode = opts.Mode
 	m.Tables = opts.Tables
 	m.Limits = opts.Limits
-	m.Limits.MaxParallel = opts.Parallel
 	m.Provenance = opts.Provenance
 	m.SetContext(opts.Ctx)
 	m.SetTracer(opts.Tracer)

@@ -7,8 +7,8 @@ import (
 )
 
 // TestInternConcurrent hammers the global intern table from many
-// goroutines with overlapping vocabularies — the access pattern of
-// parallel goal-group evaluation, where every engine shard interns
+// goroutines with overlapping vocabularies — the access pattern of the
+// service's worker pool, where machines on different workers intern
 // while others publish new snapshots. Every goroutine must see the same
 // id for the same name, ids must stay dense, and Name must round-trip
 // whatever Intern issued. Run under -race this also checks the
@@ -31,7 +31,7 @@ func TestInternConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var cache SymCache // per-goroutine, like each machine shard's
+			var cache SymCache // per-goroutine, like each machine's
 			syms := make([]Sym, names)
 			for i := 0; i < names; i++ {
 				name := fmt.Sprintf("race_%d", i)

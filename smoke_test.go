@@ -1,6 +1,7 @@
 package xlp
 
 import (
+	"encoding/json"
 	"net"
 	"net/http"
 	"os"
@@ -25,8 +26,8 @@ func TestCommandSmoke(t *testing.T) {
 		{"./cmd/xlp", "difftest", "-n", "3", "-seed", "1"},
 		{"./cmd/xlp", "lint", "internal/corpus/programs/qsort.pl"},
 		{"./cmd/xlp", "groundness", "internal/corpus/programs/qsort.pl"},
-		{"./cmd/groundness", "-bench", "qsort"},
-		{"./cmd/strictness", "-bench", "quicksort"},
+		{"./cmd/xlp", "groundness", "-bench", "qsort", "-json"},
+		{"./cmd/xlp", "strictness", "-bench", "quicksort", "-json"},
 		{"./cmd/experiments", "-table", "1"},
 	}
 	for _, d := range []string{"dataflow", "depthk", "groundness", "quickstart", "strictness"} {
@@ -40,6 +41,9 @@ func TestCommandSmoke(t *testing.T) {
 			out, err := exec.Command("go", args...).CombinedOutput()
 			if err != nil {
 				t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+			}
+			if r[len(r)-1] == "-json" && !json.Valid(out) {
+				t.Fatalf("go %s: output is not JSON:\n%s", strings.Join(args, " "), out)
 			}
 		})
 	}

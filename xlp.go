@@ -49,7 +49,7 @@ import (
 type (
 	// Machine is the tabled logic-programming engine.
 	Machine = engine.Machine
-	// LoadMode selects dynamic (assert-style) or compiled (indexed)
+	// LoadMode selects dynamic (assert-style) or closure-compiled
 	// clause loading.
 	LoadMode = engine.LoadMode
 	// Limits bound engine resources.
@@ -60,8 +60,8 @@ type (
 
 // Load modes.
 const (
-	LoadDynamic  = engine.LoadDynamic
-	LoadCompiled = engine.LoadCompiled
+	LoadDynamic = engine.LoadDynamic
+	ModeClosure = engine.ModeClosure
 )
 
 // NewMachine returns an empty tabled engine. Consult Prolog text with
