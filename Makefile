@@ -115,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTermRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/prolog
 	$(GO) test -run '^$$' -fuzz '^FuzzUnify$$' -fuzztime $(FUZZTIME) ./internal/prolog
 	$(GO) test -run '^$$' -fuzz '^FuzzTrieInsertLookup$$' -fuzztime $(FUZZTIME) ./internal/prolog
+	$(GO) test -run '^$$' -fuzz '^FuzzTrieUnify$$' -fuzztime $(FUZZTIME) ./internal/prolog
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFL$$' -fuzztime $(FUZZTIME) ./internal/fl
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeGroundness$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileSolve$$' -fuzztime $(FUZZTIME) .

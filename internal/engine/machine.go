@@ -106,7 +106,7 @@ type Stats struct {
 	// TableBytes is the paper's "table space" measure and always equals
 	// CallBytes + AnswerBytes. Under TablesStringMap it counts canonical
 	// key bytes; under TablesTrie it counts allocated trie nodes at
-	// term.TrieNodeBytes each (prefix sharing makes it smaller).
+	// term.TrieNodeBytes each, the real storage of both tables.
 	TableBytes  int
 	CallBytes   int // table space charged to call-table keys
 	AnswerBytes int // table space charged to answer-table keys
@@ -183,13 +183,15 @@ type TablesImpl int
 const (
 	// TablesTrie (the default) keys tables by XSB-style term tries over
 	// interned symbols: subgoal lookup and answer dedup are a single
-	// term walk with no intermediate canonical string, and terms
-	// sharing a prefix share trie nodes.
+	// term walk with no intermediate canonical string, terms sharing a
+	// prefix share trie nodes, and an answer's trie path is its only
+	// copy.
 	TablesTrie TablesImpl = iota
-	// TablesStringMap keys tables by term.Canonical strings in Go maps —
-	// the original implementation, kept for differential testing
-	// (difftest's tables_trie_vs_stringmap oracle) and as the
-	// reference point of the table-space comparison in EXPERIMENTS.md.
+	// TablesStringMap keys tables by term.Canonical strings in Go maps
+	// and keeps a detached copy of each answer — the original
+	// implementation, kept for differential testing (difftest's
+	// tables_trie_vs_stringmap oracle) and as the reference point of
+	// the table-space comparison in EXPERIMENTS.md.
 	TablesStringMap
 )
 

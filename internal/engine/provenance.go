@@ -70,7 +70,7 @@ func (m *Machine) recordJust(sg *subgoal, cl *Clause) *Just {
 	prem := m.premises[sg.provMark:]
 	if m.provNodes+1+len(prem) > m.Limits.maxProvNodes() {
 		// Budget spent: keep the clause (the slice stays index-aligned
-		// with sg.answers) but drop the premises.
+		// with the answer table) but drop the premises.
 		j.Truncated = true
 		m.provNodes++
 		m.stats.ProvenanceBytes += justRecordBytes
@@ -93,13 +93,13 @@ func (m *Machine) Justification(ref AnswerRef) (Just, bool) {
 	return *sg.justs[ref.Answer], true
 }
 
-// AnswerAt returns the detached answer term behind ref.
+// AnswerAt returns the answer term behind ref, with fresh variables.
 func (m *Machine) AnswerAt(ref AnswerRef) (term.Term, bool) {
-	sg, ok := m.subgoalAt(ref.Subgoal)
-	if !ok || ref.Answer < 0 || ref.Answer >= len(sg.answers) {
+	sg, ok := m.answerSubgoal(ref)
+	if !ok {
 		return nil, false
 	}
-	return sg.answers[ref.Answer], true
+	return sg.answer(ref.Answer), true
 }
 
 // EachAnswer calls fn for every recorded tabled answer — subgoal
@@ -108,7 +108,7 @@ func (m *Machine) AnswerAt(ref AnswerRef) (term.Term, bool) {
 // provenance audits (the difftest provenance_sound oracle).
 func (m *Machine) EachAnswer(fn func(ref AnswerRef, pred string)) {
 	for _, sg := range m.subgoals {
-		for i := range sg.answers {
+		for i := range sg.numAnswers() {
 			fn(AnswerRef{Subgoal: sg.idx, Answer: i}, sg.pred.Indicator)
 		}
 	}
@@ -119,6 +119,15 @@ func (m *Machine) subgoalAt(i int) (*subgoal, bool) {
 		return nil, false
 	}
 	return m.subgoals[i], true
+}
+
+// answerSubgoal returns the subgoal whose table holds ref's answer.
+func (m *Machine) answerSubgoal(ref AnswerRef) (*subgoal, bool) {
+	sg, ok := m.subgoalAt(ref.Subgoal)
+	if !ok || ref.Answer < 0 || ref.Answer >= sg.numAnswers() {
+		return nil, false
+	}
+	return sg, true
 }
 
 // FindAnswers returns refs to every recorded answer that unifies with
@@ -137,12 +146,9 @@ func (m *Machine) FindAnswers(goal term.Term) []AnswerRef {
 		if sg.pred.Indicator != ind {
 			continue
 		}
-		for i, ans := range sg.answers {
-			if !sg.answersGnd[i] {
-				ans = term.Rename(ans, nil)
-			}
+		for i := range sg.numAnswers() {
 			mark := m.trail.Mark()
-			if term.Unify(probe, ans, &m.trail) {
+			if term.Unify(probe, sg.answer(i), &m.trail) {
 				out = append(out, AnswerRef{sg.idx, i})
 			}
 			m.trail.Undo(mark)
@@ -156,12 +162,14 @@ func (m *Machine) FindAnswers(goal term.Term) []AnswerRef {
 // engine (the dependency already points engine -> obs).
 type justSource struct{ m *Machine }
 
+// Answer renders the answer with term.Canonical, so a derivation's text
+// does not depend on the process-global variable counter.
 func (s justSource) Answer(ref obs.AnsRef) (pred, text string, ok bool) {
-	sg, found := s.m.subgoalAt(ref.Sub)
-	if !found || ref.Ans < 0 || ref.Ans >= len(sg.answers) {
+	sg, found := s.m.answerSubgoal(AnswerRef{Subgoal: ref.Sub, Answer: ref.Ans})
+	if !found {
 		return "", "", false
 	}
-	return sg.pred.Indicator, sg.answers[ref.Ans].String(), true
+	return sg.pred.Indicator, term.Canonical(sg.answer(ref.Ans)), true
 }
 
 func (s justSource) Just(ref obs.AnsRef) (clause int, pos string, truncated bool, premises []obs.AnsRef, ok bool) {
@@ -197,5 +205,5 @@ func (m *Machine) Explain(goal term.Term, maxNodes int) (*obs.Derivation, error)
 	for i, r := range roots {
 		refs[i] = obs.AnsRef{Sub: r.Subgoal, Ans: r.Answer}
 	}
-	return obs.BuildDerivation(m.JustSource(), term.Resolve(goal).String(), refs, maxNodes), nil
+	return obs.BuildDerivation(m.JustSource(), term.Canonical(goal), refs, maxNodes), nil
 }

@@ -40,11 +40,11 @@ func TestProvenanceRecordsEveryAnswer(t *testing.T) {
 			}
 			checked := 0
 			for si, sg := range m.subgoals {
-				if len(sg.justs) != len(sg.answers) {
+				if len(sg.justs) != sg.numAnswers() {
 					t.Fatalf("mode=%v tables=%v: %v: %d answers, %d justs",
-						mode, tables, sg.goal, len(sg.answers), len(sg.justs))
+						mode, tables, sg.goal, sg.numAnswers(), len(sg.justs))
 				}
-				for ai := range sg.answers {
+				for ai := range sg.numAnswers() {
 					j, ok := m.Justification(AnswerRef{Subgoal: si, Answer: ai})
 					if !ok {
 						t.Fatalf("no justification for s%da%d", si, ai)
@@ -82,12 +82,13 @@ func TestProvenancePremisesRecheck(t *testing.T) {
 	m := provMachine(t, LoadDynamic, TablesTrie)
 	q(t, m, "path(a, X)")
 	for si, sg := range m.subgoals {
-		for ai, ans := range sg.answers {
+		for ai := range sg.numAnswers() {
+			ans := sg.answer(ai)
 			j, _ := m.Justification(AnswerRef{Subgoal: si, Answer: ai})
 			cl := sg.pred.Clauses[j.ClauseNth]
 			head, body := renameClause(cl)
 			mark := m.trail.Mark()
-			if !term.Unify(head, term.Rename(ans, nil), &m.trail) {
+			if !term.Unify(head, ans, &m.trail) {
 				t.Fatalf("clause %d head does not cover answer %v", j.ClauseNth, ans)
 			}
 			// Each tabled body goal must consume the next premise.
@@ -131,9 +132,9 @@ func TestProvenanceBackendsAgree(t *testing.T) {
 		}
 		var sb strings.Builder
 		for si, sg := range m.subgoals {
-			for ai, ans := range sg.answers {
+			for ai := range sg.numAnswers() {
 				j, _ := m.Justification(AnswerRef{Subgoal: si, Answer: ai})
-				sb.WriteString(term.Canonical(ans))
+				sb.WriteString(term.Canonical(sg.answer(ai)))
 				sb.WriteString(" <- ")
 				sb.WriteString(sg.pred.Indicator)
 				sb.WriteString(j.Pos.String())
@@ -162,7 +163,7 @@ func TestProvenanceBudgetTruncates(t *testing.T) {
 	q(t, m, "path(a, X)")
 	truncated := 0
 	for si, sg := range m.subgoals {
-		for ai := range sg.answers {
+		for ai := range sg.numAnswers() {
 			j, ok := m.Justification(AnswerRef{Subgoal: si, Answer: ai})
 			if !ok {
 				t.Fatalf("budget must keep records index-aligned")

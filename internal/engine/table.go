@@ -30,19 +30,21 @@ type subgoal struct {
 	pred *Pred
 	idx  int // creation index in m.subgoals; first half of an AnswerRef
 
-	answers    []term.Term // detached instances of goal, insertion order
-	answersGnd []bool      // per-answer: ground (no rename needed on use)
-	// justs holds one justification per answer, index-aligned with
-	// answers; nil unless the machine records provenance.
+	// Answer table, insertion order; AnswerRef.Answer and consumer
+	// cursors index it. Under TablesTrie an answer is stored once, as
+	// the path to its leaf in ansTrie: leaves[i] is answer i, and the
+	// trie is also the variant-check index. TablesStringMap keeps the
+	// reference store instead (str).
+	ansTrie *term.Trie
+	leaves  []*term.TrieNode
+	str     *stringAnswers
+	// justs holds one justification per answer, index-aligned with the
+	// answer table; nil unless the machine records provenance.
 	justs []*Just
 	// provMark is the premise-stack depth at the entry of the activation
 	// (clause pass or consumer resumption) currently deriving answers for
 	// this subgoal: addAnswer's premises are the refs above it.
 	provMark int
-	// Answer dedup index: answerKeys under TablesStringMap, ansTrie
-	// under TablesTrie.
-	answerKeys map[string]struct{}
-	ansTrie    *term.Trie
 
 	complete bool
 	dfn      int
@@ -50,6 +52,38 @@ type subgoal struct {
 	// consumers are the suspended derivations waiting on this table's
 	// answers; nil once the table is complete.
 	consumers []*consumer
+}
+
+// stringAnswers is the TablesStringMap answer table: canonical keys for
+// the variant check and a detached copy of each answer. It is the
+// reference that the trie store is checked against (the difftest
+// tables_trie_vs_stringmap oracle).
+type stringAnswers struct {
+	keys  map[string]struct{}
+	terms []term.Term // detached instances of the call, insertion order
+	gnd   []bool      // per answer: ground, so it is used without renaming
+}
+
+// numAnswers reports how many answers sg's table holds.
+func (sg *subgoal) numAnswers() int {
+	if sg.ansTrie != nil {
+		return len(sg.leaves)
+	}
+	return len(sg.str.terms)
+}
+
+// answer returns answer i of sg's table with fresh variables. It is the
+// one accessor through which dumps, provenance and abstract unification
+// read answers.
+func (sg *subgoal) answer(i int) term.Term {
+	if sg.ansTrie != nil {
+		return sg.ansTrie.Term(sg.leaves[i])
+	}
+	a := sg.str.terms[i]
+	if !sg.str.gnd[i] {
+		a = term.Rename(a, nil)
+	}
+	return a
 }
 
 // consumer is a suspended derivation: a tabled call that reached an
@@ -108,19 +142,9 @@ func (m *Machine) solveTabled(p *Pred, goal term.Term, k func() bool) bool {
 // unified with goal, and returns the index past the last answer fed.
 // Answers added meanwhile (by k's own derivations) are fed too.
 func (m *Machine) consume(sg *subgoal, goal term.Term, from int, k func() bool) (int, bool) {
-	unify := term.Unify
-	if m.AbstractUnify != nil {
-		unify = m.AbstractUnify
-	}
-	for i := from; i < len(sg.answers); i++ {
-		ans := sg.answers[i]
-		if !sg.answersGnd[i] {
-			// Answers with residual variables must be used via a fresh
-			// renaming; ground answers (the common case) unify directly.
-			ans = term.Rename(ans, nil)
-		}
+	for i := from; i < sg.numAnswers(); i++ {
 		mark := m.trail.Mark()
-		if unify(goal, ans, &m.trail) {
+		if m.unifyAnswer(sg, goal, i) {
 			var stop bool
 			if m.Provenance {
 				// The continuation runs with this answer as a committed
@@ -138,7 +162,20 @@ func (m *Machine) consume(sg *subgoal, goal term.Term, from int, k func() bool) 
 		}
 		m.trail.Undo(mark)
 	}
-	return len(sg.answers), false
+	return sg.numAnswers(), false
+}
+
+// unifyAnswer unifies goal with answer i of sg. Trie answers unify
+// against their leaf's path, building only what binds goal variables.
+// Abstract unification (depth-k) takes the answer as a term.
+func (m *Machine) unifyAnswer(sg *subgoal, goal term.Term, i int) bool {
+	switch {
+	case m.AbstractUnify != nil:
+		return m.AbstractUnify(goal, sg.answer(i), &m.trail)
+	case sg.ansTrie != nil:
+		return sg.ansTrie.Unify(goal, sg.leaves[i], &m.trail)
+	}
+	return term.Unify(goal, sg.answer(i), &m.trail)
 }
 
 // suspend saves the current derivation as a consumer of sg that has
@@ -245,7 +282,7 @@ func (m *Machine) lookupOrCreate(p *Pred, lookup term.Term) (sg *subgoal, create
 		sg.ansTrie.UseSymCache(m.syms())
 		leaf.SetValue(sg)
 	} else {
-		sg.answerKeys = map[string]struct{}{}
+		sg.str = &stringAnswers{keys: map[string]struct{}{}}
 		if m.tables == nil {
 			m.tables = map[string]*subgoal{}
 		}
@@ -333,7 +370,7 @@ func (m *Machine) completeRegion(leader *subgoal) bool {
 		for i := base; i < len(m.complStack); i++ {
 			sg := m.complStack[i]
 			for j := 0; j < len(sg.consumers); j++ {
-				if c := sg.consumers[j]; c.cursor < len(sg.answers) {
+				if c := sg.consumers[j]; c.cursor < sg.numAnswers() {
 					m.resume(sg, c)
 					if c.owner.minlink < leader.minlink {
 						leader.minlink = c.owner.minlink
@@ -396,7 +433,7 @@ func (m *Machine) addAnswer(sg *subgoal, inst term.Term, cl *Clause) {
 		charge, nodes = newNodes*term.TrieNodeBytes, newNodes
 	} else {
 		key = term.Canonical(inst)
-		if _, dup := sg.answerKeys[key]; dup {
+		if _, dup := sg.str.keys[key]; dup {
 			if m.tracer != nil {
 				m.tracer.Emit(obs.EvAnswerDup, sg.pred.Indicator, 0)
 			}
@@ -413,15 +450,17 @@ func (m *Machine) addAnswer(sg *subgoal, inst term.Term, cl *Clause) {
 		sg.justs = append(sg.justs, just)
 	}
 	if leaf != nil {
-		// The answer-trie leaf doubles as the dedup presence mark and
-		// the justification anchor (nil value with provenance off).
+		// The leaf is the answer: the only copy of it, the dedup
+		// presence mark and the justification anchor (nil value with
+		// provenance off).
 		leaf.SetValue(just)
+		sg.leaves = append(sg.leaves, leaf)
 	} else {
-		sg.answerKeys[key] = struct{}{}
+		sg.str.keys[key] = struct{}{}
+		detached := term.Rename(inst, nil) // Rename follows bindings
+		sg.str.terms = append(sg.str.terms, detached)
+		sg.str.gnd = append(sg.str.gnd, term.IsGround(detached))
 	}
-	detached := term.Rename(inst, nil) // Rename follows bindings
-	sg.answers = append(sg.answers, detached)
-	sg.answersGnd = append(sg.answersGnd, term.IsGround(detached))
 	m.stats.Answers++
 	m.stats.AnswerBytes += charge
 	m.stats.TableBytes += charge
@@ -479,11 +518,11 @@ func (m *Machine) DumpTables(indicator string) []TableDump {
 	sgs := m.sortedSubgoals(indicator)
 	out := make([]TableDump, 0, len(sgs))
 	for _, sg := range sgs {
-		out = append(out, TableDump{
-			Call:     sg.goal,
-			Answers:  append([]term.Term{}, sg.answers...),
-			Complete: sg.complete,
-		})
+		answers := make([]term.Term, sg.numAnswers())
+		for i := range answers {
+			answers[i] = sg.answer(i)
+		}
+		out = append(out, TableDump{Call: sg.goal, Answers: answers, Complete: sg.complete})
 	}
 	return out
 }
@@ -515,9 +554,9 @@ func (m *Machine) DumpTablesString() string {
 		} else {
 			sb.WriteString("  [incomplete]\n")
 		}
-		for _, a := range sg.answers {
+		for i := range sg.numAnswers() {
 			sb.WriteString("  ")
-			sb.WriteString(a.String())
+			sb.WriteString(sg.answer(i).String())
 			sb.WriteByte('\n')
 		}
 	}

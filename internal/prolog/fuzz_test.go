@@ -142,6 +142,15 @@ func FuzzTrieInsertLookup(f *testing.F) {
 		if leaf, ok := tr.Lookup(term.Rename(b, nil)); !ok || leaf != lb {
 			t.Fatalf("lookup of inserted %q failed", bSrc)
 		}
+		// Each leaf spells its term back.
+		for _, c := range []struct {
+			t    term.Term
+			leaf *term.TrieNode
+		}{{a, la}, {b, lb}} {
+			if got, want := term.Canonical(tr.Term(c.leaf)), term.Canonical(c.t); got != want {
+				t.Fatalf("leaf of %s spells %s", want, got)
+			}
+		}
 		// Re-inserting both terms is a no-op on the node count.
 		before := tr.Nodes()
 		tr.Insert(a)
@@ -150,6 +159,89 @@ func FuzzTrieInsertLookup(f *testing.F) {
 			t.Fatalf("re-insert allocated nodes: %d -> %d", before, tr.Nodes())
 		}
 	})
+}
+
+// FuzzTrieUnify: unifying a goal against a trie leaf's path gives the
+// verdict of Unify(goal, Rename(stored)), and on success a variant of
+// its resolved goal. Pairs that unify only without the occurs check
+// are skipped, as in FuzzUnify.
+func FuzzTrieUnify(f *testing.F) {
+	for _, p := range [][2]string{
+		{"f(X, X)", "f(a, b)"},
+		{"f(a, b)", "f(X, X)"},
+		{"p(A, B)", "p(X, f(X))"},
+		{"p(A, g(A), B)", "p(X, Y, Y)"},
+		{"[H | T]", "[1, 2 | R]"},
+		{"s(s(X))", "s(Y)"},
+		{"p(A, B, c)", "p(q(X, 1), X, Y)"},
+	} {
+		f.Add(p[0], p[1])
+	}
+	f.Fuzz(func(t *testing.T, goalSrc, storedSrc string) {
+		parse := func() (term.Term, term.Term, bool) {
+			g, _, errG := ParseTerm(goalSrc)
+			s, _, errS := ParseTerm(storedSrc)
+			return g, s, errG == nil && errS == nil
+		}
+		goal, stored, ok := parse()
+		if !ok {
+			return
+		}
+		var tr0 term.Trail
+		if ok, occurs := unifyOCClash(goal, stored, &tr0); !ok && occurs {
+			return
+		}
+		plain, renamed, _ := parse()
+		var tr1 term.Trail
+		want := term.Unify(plain, renamed, &tr1)
+		viaTrie, stored2, _ := parse()
+		trie := term.NewTrie()
+		leaf, _ := trie.Insert(stored2)
+		var tr2 term.Trail
+		if got := trie.Unify(viaTrie, leaf, &tr2); got != want {
+			t.Fatalf("Trie.Unify(%q, %q) = %v, Unify = %v", goalSrc, storedSrc, got, want)
+		}
+		if want && term.Canonical(viaTrie) != term.Canonical(plain) {
+			t.Fatalf("%q against %q: trie leaves %s, Unify leaves %s",
+				goalSrc, storedSrc, term.Canonical(viaTrie), term.Canonical(plain))
+		}
+	})
+}
+
+// unifyOCClash is UnifyOC that also reports whether it failed on the
+// occurs check. Where it fails on a clash instead, plain Unify fails
+// too: up to the clash it made the same bindings. Where the occurs
+// check fails first, plain Unify may build a cyclic term.
+func unifyOCClash(a, b term.Term, tr *term.Trail) (ok, occurs bool) {
+	a, b = term.Deref(a), term.Deref(b)
+	if a == b {
+		return true, false
+	}
+	if v, isVar := a.(*term.Var); isVar {
+		if term.Occurs(v, b) {
+			return false, true
+		}
+		tr.Bind(v, b)
+		return true, false
+	}
+	if v, isVar := b.(*term.Var); isVar {
+		if term.Occurs(v, a) {
+			return false, true
+		}
+		tr.Bind(v, a)
+		return true, false
+	}
+	ac, aok := a.(*term.Compound)
+	bc, bok := b.(*term.Compound)
+	if !aok || !bok || ac.Functor != bc.Functor || len(ac.Args) != len(bc.Args) {
+		return false, false
+	}
+	for i := range ac.Args {
+		if ok, occurs := unifyOCClash(ac.Args[i], bc.Args[i], tr); !ok {
+			return false, occurs
+		}
+	}
+	return true, false
 }
 
 func FuzzUnify(f *testing.F) {

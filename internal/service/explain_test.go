@@ -188,3 +188,40 @@ func TestRequestIDMiddlewareAndLogs(t *testing.T) {
 		}
 	}
 }
+
+// TestResponseTextIndependentOfProcessVariables sends the same query and
+// explain requests to two services in one process. The second service
+// runs after the first has made variables, so any variable name that
+// leaks the process-global counter into a solution or a derivation
+// would differ between the two responses.
+func TestResponseTextIndependentOfProcessVariables(t *testing.T) {
+	reqs := []*Request{
+		{Kind: KindQuery, Source: ":- table p/2.\np(X, X).\np(a, Y).\n", Options: Options{Goal: "p(A, B)"}},
+		{Kind: KindExplain, Source: "app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n", Options: Options{Pred: "app/3"}},
+	}
+	texts := func() []string {
+		s := newTestService(t, Config{Workers: 1})
+		var out []string
+		for _, req := range reqs {
+			resp, err := s.Do(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s: %v", req.Kind, err)
+			}
+			b, err := json.Marshal([]any{resp.Solutions, resp.Derivation})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, string(b))
+		}
+		return out
+	}
+	first, second := texts(), texts()
+	for i := range reqs {
+		if first[i] != second[i] {
+			t.Errorf("%s: responses differ between services:\n%s\n%s", reqs[i].Kind, first[i], second[i])
+		}
+	}
+	if !strings.Contains(first[0], `"p(_0,_0)"`) {
+		t.Errorf("query solutions not canonical: %s", first[0])
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"xlp/internal/prop"
 	"xlp/internal/service/store"
 	"xlp/internal/strict"
+	"xlp/internal/term"
 )
 
 // Service front-door errors (the engine's sentinel errors — ErrDeadline,
@@ -855,8 +856,10 @@ func executeQuery(ctx context.Context, req *Request, tracer obs.EngineTracer) (*
 		Engine:     engineReport(m.Stats()),
 		Solutions:  make([]string, 0, len(sols)),
 	}
+	// Canonical names variables by first occurrence, so the text does
+	// not depend on how many variables the process made before.
 	for _, t := range sols {
-		resp.Solutions = append(resp.Solutions, t.String())
+		resp.Solutions = append(resp.Solutions, term.Canonical(t))
 	}
 	return resp, nil
 }

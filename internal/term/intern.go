@@ -22,6 +22,7 @@ type Sym uint32
 type symState struct {
 	ids   map[string]Sym
 	names []string // names[i] is the string Sym(i) was interned from
+	atoms []Term   // atoms[i] is Atom(names[i]), boxed once at intern time
 }
 
 var symtab = func() (t struct {
@@ -50,6 +51,7 @@ func Intern(name string) Sym {
 		// The three-index slice forces the append to copy: the old
 		// snapshot's backing array must never be written.
 		names: append(cur.names[:len(cur.names):len(cur.names)], name),
+		atoms: append(cur.atoms[:len(cur.atoms):len(cur.atoms)], Atom(name)),
 	}
 	for k, v := range cur.ids {
 		next.ids[k] = v
@@ -67,6 +69,16 @@ func (s Sym) Name() string {
 		return st.names[s]
 	}
 	return ""
+}
+
+// Atom returns the symbol as an atom term (Atom("") for an id never
+// issued by Intern). The term was boxed when the symbol was interned,
+// so the call allocates nothing.
+func (s Sym) Atom() Term {
+	if st := symtab.state.Load(); int(s) < len(st.atoms) {
+		return st.atoms[s]
+	}
+	return Atom("")
 }
 
 // InternedSyms reports how many distinct symbols the process has

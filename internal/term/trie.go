@@ -1,5 +1,10 @@
 package term
 
+import (
+	"slices"
+	"unsafe"
+)
+
 // Term tries, XSB-style: a trie indexes a set of terms by their variant
 // class (identity up to consistent renaming of unbound variables — the
 // same equivalence Canonical renders as a string). Each root-to-leaf
@@ -11,15 +16,21 @@ package term
 // share trie nodes (the substitution-factoring that makes XSB's call
 // and answer tables compact).
 //
+// The path is also the stored term itself: every node records its
+// parent and the cell on its incoming edge, so a leaf spells its term
+// back (Term), and a goal unifies against the path directly (Unify).
+// A table keeps no other copy of what it stores.
+//
 // A Trie is not safe for concurrent use; each engine machine owns its
 // tries. The global symbol intern table (intern.go) is shared and
 // thread-safe.
 
-// TrieNodeBytes is the accounting charge per allocated trie node, the
-// trie analogue of the string-map's canonical-key bytes in the paper's
-// "Table space (bytes)" column: cell key (16) + edge storage (~24) +
-// leaf payload slot (8).
-const TrieNodeBytes = 48
+// TrieNodeBytes is the table-space charge per allocated trie node: the
+// node itself plus the first-edge slot that holds it in its parent's
+// edge list. The trie is the only copy of a stored term, so this is
+// the real storage of one preorder cell (later edge slots and spilled
+// maps are shared by a node's children and not charged).
+const TrieNodeBytes = int(unsafe.Sizeof(TrieNode{}) + unsafe.Sizeof((*TrieNode)(nil)))
 
 // Cell kinds. Zero-arity compounds cannot exist (NewCompound returns
 // Atom), so cFunctor cells always carry arity >= 1 and never collide
@@ -38,11 +49,6 @@ type cellKey struct {
 	num  int64 // integer value (cInt), arity (cFunctor), var index (cVar)
 }
 
-type trieEdge struct {
-	key   cellKey
-	child *TrieNode
-}
-
 // spillFanout is the child count at which a node's linear edge list is
 // promoted to a map. Most trie nodes have a handful of children (one
 // per clause constructor); answer tries over large fact sets fan out at
@@ -52,9 +58,11 @@ const spillFanout = 8
 // TrieNode is one node of a term trie. The node a full term walk ends
 // at is the term's leaf; callers attach their payload there.
 type TrieNode struct {
-	edges []trieEdge            // small fanout: linear scan
-	big   map[cellKey]*TrieNode // non-nil once fanout spills
-	val   any                   // payload; nilValue marks a nil payload
+	parent *TrieNode             // nil at the root
+	key    cellKey               // the cell on the edge from parent
+	edges  []*TrieNode           // small fanout: linear scan of the children's keys
+	big    map[cellKey]*TrieNode // non-nil once fanout spills
+	val    any                   // payload; nilValue marks a nil payload
 }
 
 // nilValue stands for a nil payload, so an unset node is just val ==
@@ -84,42 +92,43 @@ func (n *TrieNode) child(k cellKey) *TrieNode {
 	if n.big != nil {
 		return n.big[k]
 	}
-	for i := range n.edges {
-		if n.edges[i].key == k {
-			return n.edges[i].child
+	for _, c := range n.edges {
+		if c.key == k {
+			return c
 		}
 	}
 	return nil
 }
 
-// addChild links c under n. A node's first edge comes from the trie's
-// edge slab (capacity 1, so a second child reallocates normally): most
-// nodes lie on a chain spelling one term and never get a second child.
-func (tr *Trie) addChild(n *TrieNode, k cellKey, c *TrieNode) {
+// addChild links c under n by c's key. A node's first edge comes from
+// the trie's edge slab (capacity 1, so a second child reallocates
+// normally): most nodes lie on a chain spelling one term and never get
+// a second child.
+func (tr *Trie) addChild(n, c *TrieNode) {
 	if n.big != nil {
-		n.big[k] = c
+		n.big[c.key] = c
 		return
 	}
 	if n.edges == nil {
 		if len(tr.edgeSlab) == 0 {
 			tr.edgeChunk = nextChunk(tr.edgeChunk)
-			tr.edgeSlab = make([]trieEdge, tr.edgeChunk)
+			tr.edgeSlab = make([]*TrieNode, tr.edgeChunk)
 		}
 		n.edges = tr.edgeSlab[:1:1]
 		tr.edgeSlab = tr.edgeSlab[1:]
-		n.edges[0] = trieEdge{key: k, child: c}
+		n.edges[0] = c
 		return
 	}
 	if len(n.edges) < spillFanout {
-		n.edges = append(n.edges, trieEdge{key: k, child: c})
+		n.edges = append(n.edges, c)
 		return
 	}
 	n.big = make(map[cellKey]*TrieNode, 2*spillFanout)
 	for _, e := range n.edges {
-		n.big[e.key] = e.child
+		n.big[e.key] = e
 	}
 	n.edges = nil
-	n.big[k] = c
+	n.big[c.key] = c
 }
 
 // Trie is a term trie with reusable walk scratch. The zero value is
@@ -137,22 +146,26 @@ type Trie struct {
 	// than per node; chunk sizes double up to maxSlab, so a small trie
 	// wastes at most a few entries.
 	slab             []TrieNode
-	edgeSlab         []trieEdge
+	edgeSlab         []*TrieNode
 	chunk, edgeChunk int // sizes of the last chunks
+
+	dec trieDecoder // scratch for Term and Unify
 }
 
 const maxSlab = 8
 
 func nextChunk(last int) int { return min(max(2*last, 2), maxSlab) }
 
-// newNode returns a fresh node from the trie's slab.
-func (tr *Trie) newNode() *TrieNode {
+// newNode returns a fresh node from the trie's slab, linked to its
+// parent by cell k.
+func (tr *Trie) newNode(parent *TrieNode, k cellKey) *TrieNode {
 	if len(tr.slab) == 0 {
 		tr.chunk = nextChunk(tr.chunk)
 		tr.slab = make([]TrieNode, tr.chunk)
 	}
 	n := &tr.slab[0]
 	tr.slab = tr.slab[1:]
+	n.parent, n.key = parent, k
 	return n
 }
 
@@ -230,11 +243,119 @@ func (tr *Trie) walk(t Term, create bool) *TrieNode {
 			if !create {
 				return nil
 			}
-			next = tr.newNode()
-			tr.addChild(n, k, next)
+			next = tr.newNode(n, k)
+			tr.addChild(n, next)
 			tr.nodes++
 		}
 		n = next
 	}
 	return n
+}
+
+// Term rebuilds the term stored at leaf, with fresh variables: a
+// variant of every term whose walk ended there.
+func (tr *Trie) Term(leaf *TrieNode) Term {
+	d := tr.decode(leaf, nil)
+	t := d.build(d.next())
+	d.reset()
+	return t
+}
+
+// Unify unifies goal with the term stored at leaf, trailing bindings on
+// trail. It binds as Unify(goal, Rename(t)) would for a stored term t,
+// up to the identity of fresh variables: the first occurrence of a
+// stored variable takes the goal subterm it meets, and only subterms
+// bound to goal variables are built. So matching a call against a
+// ground answer of atoms allocates nothing. Like Unify, it leaves its
+// bindings on failure; callers undo to a mark.
+func (tr *Trie) Unify(goal Term, leaf *TrieNode, trail *Trail) bool {
+	d := tr.decode(leaf, trail)
+	ok := d.unify(goal)
+	d.reset()
+	return ok
+}
+
+// trieDecoder reads a stored term back off its root-to-leaf path.
+type trieDecoder struct {
+	cells []cellKey // the stored term's preorder cells, root first
+	pos   int       // next cell to read
+	vars  []Term    // stored variable i's counterpart, by first occurrence
+	trail *Trail
+}
+
+// decode loads leaf's path into the trie's decoder.
+func (tr *Trie) decode(leaf *TrieNode, trail *Trail) *trieDecoder {
+	d := &tr.dec
+	d.cells = d.cells[:0]
+	for n := leaf; n.parent != nil; n = n.parent {
+		d.cells = append(d.cells, n.key)
+	}
+	slices.Reverse(d.cells)
+	d.pos, d.trail = 0, trail
+	return d
+}
+
+// reset drops the decoder's references into the caller's terms.
+func (d *trieDecoder) reset() {
+	clear(d.vars)
+	d.vars, d.trail = d.vars[:0], nil
+}
+
+func (d *trieDecoder) next() cellKey {
+	c := d.cells[d.pos]
+	d.pos++
+	return c
+}
+
+// unify matches goal against the stored subterm at the next cell.
+func (d *trieDecoder) unify(goal Term) bool {
+	c := d.next()
+	if c.kind == cVar {
+		if int(c.num) == len(d.vars) {
+			d.vars = append(d.vars, goal)
+			return true
+		}
+		return Unify(goal, d.vars[c.num], d.trail)
+	}
+	switch g := Deref(goal).(type) {
+	case *Var:
+		d.trail.Bind(g, d.build(c))
+		return true
+	case Atom:
+		return c.kind == cAtom && c.sym.Name() == string(g)
+	case Int:
+		return c.kind == cInt && c.num == int64(g)
+	case *Compound:
+		if c.kind != cFunctor || int(c.num) != len(g.Args) || c.sym.Name() != g.Functor {
+			return false
+		}
+		for _, a := range g.Args {
+			if !d.unify(a) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// build constructs the stored subterm whose first cell is c, reading
+// its remaining cells.
+func (d *trieDecoder) build(c cellKey) Term {
+	switch c.kind {
+	case cAtom:
+		return c.sym.Atom()
+	case cInt:
+		return Int(c.num)
+	case cVar:
+		if int(c.num) == len(d.vars) {
+			d.vars = append(d.vars, NewVar(""))
+		}
+		return d.vars[c.num]
+	}
+	args := make([]Term, c.num)
+	for i := range args {
+		args[i] = d.build(d.next())
+	}
+	return &Compound{Functor: c.sym.Name(), Args: args}
 }

@@ -209,6 +209,170 @@ func TestTrieSpillFanout(t *testing.T) {
 	}
 }
 
+// TestTrieTermRoundTrip: a leaf spells back a variant of the term
+// whose walk ended there, with variables numbered as before.
+func TestTrieTermRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	tr := NewTrie()
+	for i := 0; i < 2000; i++ {
+		u := genTerm(r, 4, freshVars(4))
+		leaf, _ := tr.Insert(u)
+		back := tr.Term(leaf)
+		if Canonical(back) != Canonical(u) {
+			t.Fatalf("leaf of %v spells %v", u, back)
+		}
+		if l2, n := tr.Insert(back); l2 != leaf || n != 0 {
+			t.Fatalf("rebuilt %v reached another leaf", back)
+		}
+	}
+}
+
+// generalize returns t with some subterms replaced by variables from
+// vars, so that t is often an instance of the result: the shape of a
+// tabled call against one of its answers.
+func generalize(r *rand.Rand, t Term, vars []*Var) Term {
+	if r.Intn(4) == 0 {
+		return vars[r.Intn(len(vars))]
+	}
+	c, ok := Deref(t).(*Compound)
+	if !ok {
+		return t
+	}
+	args := make([]Term, len(c.Args))
+	for i, a := range c.Args {
+		args[i] = generalize(r, a, vars)
+	}
+	return &Compound{Functor: c.Functor, Args: args}
+}
+
+// unifyOCClash is UnifyOC that also reports whether it failed on the
+// occurs check. Where it fails on a clash instead, plain Unify fails
+// too: up to the clash it made the same bindings. Where the occurs
+// check fails first, plain Unify may build a cyclic term.
+func unifyOCClash(a, b Term, tr *Trail) (ok, occurs bool) {
+	a, b = Deref(a), Deref(b)
+	if a == b {
+		return true, false
+	}
+	if v, isVar := a.(*Var); isVar {
+		if Occurs(v, b) {
+			return false, true
+		}
+		tr.Bind(v, b)
+		return true, false
+	}
+	if v, isVar := b.(*Var); isVar {
+		if Occurs(v, a) {
+			return false, true
+		}
+		tr.Bind(v, a)
+		return true, false
+	}
+	ac, aok := a.(*Compound)
+	bc, bok := b.(*Compound)
+	if !aok || !bok || ac.Functor != bc.Functor || len(ac.Args) != len(bc.Args) {
+		return false, false
+	}
+	for i := range ac.Args {
+		if ok, occurs := unifyOCClash(ac.Args[i], bc.Args[i], tr); !ok {
+			return false, occurs
+		}
+	}
+	return true, false
+}
+
+// checkTrieUnify holds Trie.Unify to Unify(goal, Rename(stored)) on one
+// pair: the same verdict, and on success a variant resolved goal. Pairs
+// that unify only without the occurs check are skipped (checked false).
+func checkTrieUnify(t *testing.T, goal, stored Term) (checked, unified bool) {
+	t.Helper()
+	var tr0, tr1, tr2 Trail
+	if ok, occurs := unifyOCClash(Rename(goal, nil), Rename(stored, nil), &tr0); !ok && occurs {
+		return false, false
+	}
+	plain := Rename(goal, nil)
+	want := Unify(plain, Rename(stored, nil), &tr1)
+	trie := NewTrie()
+	leaf, _ := trie.Insert(stored)
+	viaTrie := Rename(goal, nil)
+	if got := trie.Unify(viaTrie, leaf, &tr2); got != want {
+		t.Fatalf("Trie.Unify(%v, %v) = %v, Unify = %v", goal, stored, got, want)
+	}
+	if want && Canonical(viaTrie) != Canonical(plain) {
+		t.Fatalf("%v against %v: trie leaves %s, Unify leaves %s",
+			goal, stored, Canonical(viaTrie), Canonical(plain))
+	}
+	return true, want
+}
+
+// TestTrieUnifyMatchesRenameUnify: unifying against a leaf's path is
+// unifying against a renamed copy of the stored term. Half the goals
+// generalize their stored term (they mostly succeed), half are drawn
+// independently (they mostly clash).
+func TestTrieUnifyMatchesRenameUnify(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	verdicts := map[bool]int{}
+	for i := 0; i < 5000; i++ {
+		stored := genTerm(r, 3, freshVars(3))
+		var goal Term
+		if i%2 == 0 {
+			goal = generalize(r, stored, freshVars(3))
+		} else {
+			goal = genTerm(r, 3, freshVars(3))
+		}
+		if checked, unified := checkTrieUnify(t, goal, stored); checked {
+			verdicts[unified]++
+		}
+	}
+	t.Logf("%d pairs unified, %d failed", verdicts[true], verdicts[false])
+	if verdicts[true] < 1000 || verdicts[false] < 1000 {
+		t.Fatal("generator too tame")
+	}
+}
+
+// TestTrieUnifyRepeatedVars: a stored variable that occurs twice
+// constrains the goal at both places.
+func TestTrieUnifyRepeatedVars(t *testing.T) {
+	x, y := NewVar("X"), NewVar("Y")
+	for _, c := range []struct {
+		goal, stored Term
+		want         bool
+	}{
+		{NewCompound("f", Atom("a"), Atom("b")), NewCompound("f", x, x), false},
+		{NewCompound("f", Atom("a"), Atom("a")), NewCompound("f", x, x), true},
+		{NewCompound("f", NewVar("A"), Atom("b")), NewCompound("f", x, x), true},
+		{NewCompound("f", NewCompound("g", Atom("a")), NewCompound("g", Atom("b"))), NewCompound("f", x, x), false},
+		{NewCompound("f", NewVar("A"), NewVar("B"), Atom("c")), NewCompound("f", x, NewCompound("g", x), y), true},
+	} {
+		checkTrieUnify(t, c.goal, c.stored)
+		trie := NewTrie()
+		leaf, _ := trie.Insert(c.stored)
+		var trail Trail
+		if got := trie.Unify(Rename(c.goal, nil), leaf, &trail); got != c.want {
+			t.Errorf("%v against stored %v: %v, want %v", c.goal, c.stored, got, c.want)
+		}
+	}
+}
+
+// TestTrieUnifyGroundAtomsAllocFree: an open call matched against a
+// ground answer of atoms binds preboxed atom terms and allocates
+// nothing once the trie's scratch and the trail have grown.
+func TestTrieUnifyGroundAtomsAllocFree(t *testing.T) {
+	tr := NewTrie()
+	leaf, _ := tr.Insert(NewCompound("p", Atom("a"), Atom("b"), Atom("a")))
+	goal := NewCompound("p", NewVar("X"), NewVar("Y"), NewVar("Z"))
+	var trail Trail
+	allocs := testing.AllocsPerRun(100, func() {
+		if !tr.Unify(goal, leaf, &trail) {
+			t.Fatal("open call did not match its answer")
+		}
+		trail.Undo(0)
+	})
+	if allocs != 0 {
+		t.Fatalf("Trie.Unify allocated %.1f times per call", allocs)
+	}
+}
+
 // TestInternRoundTrip: interning is stable and Name inverts it.
 func TestInternRoundTrip(t *testing.T) {
 	s1 := Intern("trie_test_atom_α")
