@@ -8,6 +8,7 @@ import (
 	"os"
 	"time"
 
+	"xlp/internal/analysis"
 	"xlp/internal/corpus"
 	"xlp/internal/depthk"
 	"xlp/internal/engine"
@@ -37,7 +38,7 @@ type analyzeFlags struct {
 
 func newAnalyzeFlags(name string, withK bool) *analyzeFlags {
 	af := &analyzeFlags{fs: flag.NewFlagSet("xlp "+name, flag.ContinueOnError)}
-	af.fs.StringVar(&af.entry, "entry", "", "entry goal or function for goal-directed analysis")
+	af.fs.StringVar(&af.entry, "entry", "", "entry point for goal-directed analysis: an indicator (main/1), a bare name (main, every arity) or a goal (main(X)); one that selects nothing defined is an error")
 	if withK {
 		af.fs.IntVar(&af.k, "k", 2, "term-depth bound")
 	}
@@ -161,52 +162,42 @@ func runAnalyze(kind string, args []string, stdout, stderr io.Writer) int {
 		tracer = tr
 	}
 
+	opts := analysis.Options{Mode: mode, K: af.k, Timeline: tl, Tracer: tracer}
+	if af.entry != "" {
+		opts.Entry = []string{af.entry}
+	}
 	start := time.Now()
 	var summary string
 	var resp *service.Response
 	switch kind {
 	case "groundness":
-		opts := prop.Options{Mode: mode, Timeline: tl, Tracer: tracer}
-		if af.entry != "" {
-			opts.Entry = []string{af.entry}
+		var a *prop.Analysis
+		if a, err = prop.Analyze(src, opts); err == nil {
+			summary = fmt.Sprintf("%s: Prop groundness: %d predicates, %d subgoals, %d answers, tables %d bytes",
+				name, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
+			resp = service.FromGroundness(a)
 		}
-		a, err := prop.Analyze(src, opts)
-		if err != nil {
-			fmt.Fprintf(stderr, "xlp: %v\n", err)
-			return 1
-		}
-		summary = fmt.Sprintf("%s: Prop groundness: %d predicates, %d subgoals, %d answers, tables %d bytes",
-			name, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
-		resp = service.FromGroundness(a)
 	case "strictness":
-		opts := strict.Options{Mode: mode, Timeline: tl, Tracer: tracer}
-		if af.entry != "" {
-			opts.Entry = []string{af.entry}
+		var a *strict.Analysis
+		if a, err = strict.Analyze(src, opts); err == nil {
+			summary = fmt.Sprintf("%s: strictness: %d functions, %d subgoals, %d answers, tables %d bytes",
+				name, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
+			resp = service.FromStrictness(a)
 		}
-		a, err := strict.Analyze(src, opts)
-		if err != nil {
-			fmt.Fprintf(stderr, "xlp: %v\n", err)
-			return 1
-		}
-		summary = fmt.Sprintf("%s: strictness: %d functions, %d subgoals, %d answers, tables %d bytes",
-			name, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
-		resp = service.FromStrictness(a)
 	case "depthk":
-		opts := depthk.Options{K: af.k, Mode: mode, Timeline: tl, Tracer: tracer}
-		if af.entry != "" {
-			opts.Entry = []string{af.entry}
+		var a *depthk.Analysis
+		if a, err = depthk.Analyze(src, opts); err == nil {
+			summary = fmt.Sprintf("%s: depth-%d groundness: %d predicates, %d subgoals, %d answers, tables %d bytes",
+				name, a.K, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
+			resp = service.FromDepthK(a)
 		}
-		a, err := depthk.Analyze(src, opts)
-		if err != nil {
-			fmt.Fprintf(stderr, "xlp: %v\n", err)
-			return 1
-		}
-		summary = fmt.Sprintf("%s: depth-%d groundness: %d predicates, %d subgoals, %d answers, tables %d bytes",
-			name, a.K, len(a.Results), a.EngineStats.Subgoals, a.EngineStats.Answers, a.TableBytes)
-		resp = service.FromDepthK(a)
 	default:
 		fmt.Fprintf(stderr, "xlp: unknown analysis %q\n", kind)
 		return 2
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "xlp: %v\n", err)
+		return 1
 	}
 	wall := time.Since(start)
 

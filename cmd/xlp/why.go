@@ -10,10 +10,9 @@ package main
 import (
 	"fmt"
 	"io"
-	"sort"
 
+	"xlp/internal/analysis"
 	"xlp/internal/corpus"
-	"xlp/internal/obs"
 	"xlp/internal/prop"
 	"xlp/internal/strict"
 )
@@ -53,37 +52,29 @@ func runWhy(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Run the analysis with provenance on and keep the machine alive
-	// for explanation. explain(pred) yields the derivation of one
-	// predicate's answers; preds lists candidates for the default scan.
-	var explain func(pred string) (*obs.Derivation, error)
-	var preds []string
+	// for explanation.
+	opts := analysis.Options{Mode: mode, Provenance: true}
+	if af.entry != "" {
+		opts.Entry = []string{af.entry}
+	}
+	var rep *analysis.Report
 	if *flLang {
-		opts := strict.Options{Mode: mode, Provenance: true}
-		if af.entry != "" {
-			opts.Entry = []string{af.entry}
-		}
 		a, err := strict.Analyze(src, opts)
 		if err != nil {
 			fmt.Fprintf(stderr, "xlp: %s: %v\n", name, err)
 			return 1
 		}
-		explain = func(p string) (*obs.Derivation, error) { return a.Explain(p, *maxNodes) }
-		preds = sortedKeys(a.SpPreds)
+		rep = &a.Report
 	} else {
-		opts := prop.Options{Mode: mode, Provenance: true}
-		if af.entry != "" {
-			opts.Entry = []string{af.entry}
-		}
 		a, err := prop.Analyze(src, opts)
 		if err != nil {
 			fmt.Fprintf(stderr, "xlp: %s: %v\n", name, err)
 			return 1
 		}
-		explain = func(p string) (*obs.Derivation, error) { return a.Explain(p, *maxNodes) }
-		preds = sortedKeys(a.AbsPreds)
+		rep = &a.Report
 	}
 
-	d, err := pickDerivation(explain, *pred, preds)
+	d, err := rep.Explain(*pred, *maxNodes)
 	if err != nil {
 		fmt.Fprintf(stderr, "xlp: %s: %v\n", name, err)
 		return 1
@@ -101,32 +92,4 @@ func runWhy(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
-}
-
-// pickDerivation explains the requested predicate, or — with none
-// requested — the first predicate (in indicator order) whose
-// derivation has at least one root.
-func pickDerivation(explain func(string) (*obs.Derivation, error), pred string, preds []string) (*obs.Derivation, error) {
-	if pred != "" {
-		return explain(pred)
-	}
-	for _, p := range preds {
-		d, err := explain(p)
-		if err != nil {
-			return nil, err
-		}
-		if len(d.Roots) > 0 {
-			return d, nil
-		}
-	}
-	return nil, fmt.Errorf("no predicate recorded any answer")
-}
-
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("output groundness (success formulas over argument positions):")
-	for _, r := range a.Sorted() {
+	for _, r := range xlp.Sorted(a.Results) {
 		fmt.Printf("  %-14s %s\n", r.Indicator, r.FormatSuccess())
 	}
 
@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\ngoal-directed from main/0 (g = ground at call, ng = non-ground, ? = unknown):")
-	for _, r := range g.Sorted() {
+	for _, r := range xlp.Sorted(g.Results) {
 		if !r.Reachable {
 			continue
 		}

@@ -44,12 +44,12 @@ func main() {
 	}
 	fmt.Println("demands guaranteed on each argument (n < d < e):")
 	fmt.Println("  under e: result demanded in full;  under d: to head-normal form")
-	for _, r := range a.Sorted() {
+	for _, r := range xlp.Sorted(a.Results) {
 		fmt.Printf("  %s\n", r)
 	}
 
 	fmt.Println("\nstrict arguments (safe to evaluate eagerly):")
-	for _, r := range a.Sorted() {
+	for _, r := range xlp.Sorted(a.Results) {
 		for i := 0; i < r.Arity; i++ {
 			if r.Strict(i) {
 				fmt.Printf("  %s argument %d\n", r.Indicator, i+1)

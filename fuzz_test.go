@@ -90,7 +90,7 @@ func FuzzCompileSolve(f *testing.F) {
 			}
 			out := map[string]string{}
 			for _, ind := range m.Predicates() {
-				goal := openCall(ind)
+				goal := term.OpenCall(ind)
 				var sols []string
 				err := m.Solve(goal, func() bool {
 					sols = append(sols, term.Canonical(term.Resolve(goal)))
@@ -117,21 +117,6 @@ func FuzzCompileSolve(f *testing.F) {
 			t.Fatalf("predicate sets diverge: interp %d, closure %d", len(interp), len(closure))
 		}
 	})
-}
-
-// openCall builds "name(V1, ..., Vn)" from an indicator "name/n".
-func openCall(ind string) term.Term {
-	i := strings.LastIndexByte(ind, '/')
-	name := ind[:i]
-	arity := 0
-	for _, c := range ind[i+1:] {
-		arity = arity*10 + int(c-'0')
-	}
-	args := make([]term.Term, arity)
-	for j := range args {
-		args[j] = term.NewVar("_")
-	}
-	return term.NewCompound(name, args...)
 }
 
 // compileSolveHandSeeds are handwritten fuzz seeds targeting the

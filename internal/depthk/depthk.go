@@ -10,16 +10,13 @@
 package depthk
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
+	"xlp/internal/analysis"
 	"xlp/internal/engine"
 	"xlp/internal/lint"
-	"xlp/internal/obs"
 	"xlp/internal/prolog"
 	"xlp/internal/supptab"
 	"xlp/internal/term"
@@ -416,41 +413,11 @@ func builtinAbstraction(f string, args []term.Term) ([]term.Term, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Driver
+// Domain
 
-// Options configure a depth-k analysis run.
-type Options struct {
-	K    int // depth bound (default 2)
-	Mode engine.LoadMode
-	// Tables selects the engine's table representation: trie-indexed
-	// (default) or canonical-string maps (engine.TablesStringMap).
-	Tables engine.TablesImpl
-	Limits engine.Limits
-	// Entry restricts the analysis to the given predicates ("p/n", or
-	// bare "p" matching every arity): only they are open-called, so
-	// evaluation explores exactly their call-graph cone. When empty,
-	// every defined predicate is open-called.
-	Entry []string
-	// Slice, with Entry set, prunes the program to the entries' cone
-	// before transformation (lint.Slice). Evaluation never leaves the
-	// cone, so results are identical to an Entry-restricted run over the
-	// full program; only preprocessing cost changes. Ignored without
-	// Entry.
-	Slice bool
-	// NoSupplementary disables supplementary tabling of long clause
-	// bodies (see internal/supptab); leave false for production runs.
-	NoSupplementary bool
-	// Ctx, when non-nil, cancels the analysis: the engine polls it
-	// during evaluation and the run fails with engine.ErrCanceled or
-	// engine.ErrDeadline once it is done.
-	Ctx context.Context
-	// Timeline, when non-nil, records the run's phases
-	// (parse/transform/load/solve/collect) as contiguous spans.
-	Timeline *obs.Timeline
-	// Tracer, when non-nil, is installed on the engine for the solve
-	// phase.
-	Tracer obs.EngineTracer
-}
+// Options configure a depth-k analysis run; depthk also reads K and
+// NoSupplementary.
+type Options = analysis.Options
 
 // PredResult is the result for one predicate.
 type PredResult struct {
@@ -458,6 +425,9 @@ type PredResult struct {
 	Arity      int
 	Answers    []term.Term // abstract success patterns
 	GroundArgs []bool      // argument ground (γ or ground term) in every answer
+	// Reachable is false when no call to the predicate was recorded
+	// (goal-directed analysis of dead code).
+	Reachable bool
 }
 
 // Format renders the abstract answers with γ.
@@ -471,20 +441,9 @@ func (r *PredResult) Format() string {
 
 // Analysis is a full run, with the Table 4 cost breakdown.
 type Analysis struct {
-	Results        map[string]*PredResult
-	K              int
-	PreprocTime    time.Duration
-	AnalysisTime   time.Duration
-	CollectionTime time.Duration
-	TableBytes     int
-	TableNodes     int // trie nodes backing the tables (0 under string maps)
-	EngineStats    engine.Stats
-	Timeline       *obs.Timeline // phase spans, when requested via Options
-}
-
-// Total returns the overall analysis time.
-func (a *Analysis) Total() time.Duration {
-	return a.PreprocTime + a.AnalysisTime + a.CollectionTime
+	analysis.Report
+	Results map[string]*PredResult
+	K       int
 }
 
 // Analyze runs depth-k groundness analysis on a Prolog source program.
@@ -492,39 +451,56 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 	if opts.K <= 0 {
 		opts.K = 2
 	}
-	a := &Analysis{Results: map[string]*PredResult{}, K: opts.K}
+	d := &domain{opts: opts, a: &Analysis{Results: map[string]*PredResult{}, K: opts.K}}
+	rep, err := analysis.Run(src, opts, d)
+	if err != nil {
+		return nil, err
+	}
+	d.a.Report = rep
+	return d.a, nil
+}
 
-	tl := opts.Timeline
-	a.Timeline = tl
-	defer tl.End()
-	t0 := time.Now()
-	tl.Start("parse")
+// domain is depth-k groundness on the analysis pipeline.
+type domain struct {
+	opts    Options
+	a       *Analysis
+	full    []term.Term // the parsed program
+	defined []string    // its predicates, in definition order
+	tf      *Transformed
+}
+
+func (d *domain) Name() string { return "depthk" }
+
+func (d *domain) Parse(src string) ([]string, error) {
 	clauses, err := prolog.ParseProgram(src)
 	if err != nil {
 		return nil, err
 	}
-	tl.Start("transform")
-	full := clauses
-	if opts.Slice && len(opts.Entry) > 0 {
-		clauses = lint.Slice(clauses, opts.Entry)
+	d.full = clauses
+	d.defined = lint.Predicates(clauses)
+	return d.defined, nil
+}
+
+func (d *domain) Transform(keep []string) (map[string]string, error) {
+	clauses := d.full
+	if keep != nil {
+		clauses = lint.Slice(clauses, keep)
 	}
 	tf, err := Transform(clauses)
 	if err != nil {
 		return nil, err
 	}
-	tl.Start("load")
-	m := engine.New()
-	m.Mode = opts.Mode
-	m.Tables = opts.Tables
-	m.Limits = opts.Limits
-	m.SetContext(opts.Ctx)
-	m.SetTracer(opts.Tracer)
-	RegisterBuiltins(m, opts.K)
+	d.tf = tf
+	return tf.Preds, nil
+}
+
+func (d *domain) Load(m *engine.Machine) error {
+	k := d.opts.K
+	RegisterBuiltins(m, k)
 	// Keep the answer tables finite: cut every recorded answer at depth
 	// k (cut-at-binding alone does not bound structures composed across
 	// body literals), and match calls against the abstracted answers
 	// with abstract unification so γ keeps denoting "any ground term".
-	k := opts.K
 	m.AnswerAbstraction = func(ans term.Term) term.Term {
 		name, args, ok := term.FunctorArity(ans)
 		if !ok || len(args) == 0 {
@@ -555,7 +531,7 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 	// the exhaustive analysis restricted to the entries' cone, with the
 	// answers each concrete call sees filtered by abstract unification.
 	// Exhaustive runs keep exact calls (the established Table 4 mode).
-	if len(opts.Entry) > 0 {
+	if len(d.opts.Entry) > 0 {
 		m.CallAbstraction = func(call term.Term) term.Term {
 			name, args, ok := term.FunctorArity(call)
 			if !ok || len(args) == 0 || !strings.HasPrefix(name, Prefix) {
@@ -568,120 +544,59 @@ func Analyze(src string, opts Options) (*Analysis, error) {
 			return term.NewCompound(name, fresh...)
 		}
 	}
-	absClauses := tf.Clauses
+	absClauses := d.tf.Clauses
 	var extraTabled []string
-	if !opts.NoSupplementary {
+	if !d.opts.NoSupplementary {
 		st := supptab.Transform(absClauses, 4)
 		absClauses = st.Clauses
 		extraTabled = st.Tabled
 	}
 	if err := m.ConsultTerms(absClauses); err != nil {
-		return nil, err
+		return err
 	}
-	for _, abs := range tf.Preds {
+	for _, abs := range d.tf.Preds {
 		m.Table(abs)
 	}
-	for _, abs := range tf.Called {
+	for _, abs := range d.tf.Called {
 		m.Table(abs)
 	}
 	m.Table(extraTabled...)
-	a.PreprocTime = time.Since(t0)
-
-	tl.Start("solve")
-	t1 := time.Now()
-	// Solve in sorted indicator order. Results are a fixpoint and do not
-	// depend on it, but the evaluation trajectory (resolution and
-	// producer-pass counts) does; a map-order walk here made those
-	// counters differ from run to run on the same input, which the
-	// tables_trie_vs_stringmap oracle compares exactly.
-	inds := make([]string, 0, len(tf.Preds))
-	for ind := range tf.Preds {
-		inds = append(inds, ind)
-	}
-	sort.Strings(inds)
-	var goals []term.Term
-	var goalInds []string
-	for _, ind := range inds {
-		if !entryMatch(opts.Entry, ind) {
-			continue
-		}
-		goals = append(goals, openCall(tf.Preds[ind]))
-		goalInds = append(goalInds, ind)
-	}
-	if err := m.SolveAll(goals); err != nil {
-		ind := "?"
-		var ge *engine.GoalError
-		if errors.As(err, &ge) {
-			ind = goalInds[ge.Index]
-		}
-		return nil, fmt.Errorf("depthk: analyzing %s: %w", ind, err)
-	}
-	a.AnalysisTime = time.Since(t1)
-
-	tl.Start("collect")
-	t2 := time.Now()
-	for ind, abs := range tf.Preds {
-		a.Results[ind] = collect(m, ind, abs)
-	}
-	// Predicates sliced away have no tables; collect them through the
-	// same path so their (empty) results match an unsliced run's.
-	for _, ind := range lint.Predicates(full) {
-		if _, analyzed := a.Results[ind]; analyzed {
-			continue
-		}
-		name, arity := splitSrcInd(ind)
-		a.Results[ind] = collect(m, ind, fmt.Sprintf("%s/%d", absName(name), arity))
-	}
-	a.TableBytes = m.TableSpace()
-	a.TableNodes = m.TableNodes()
-	a.EngineStats = m.Stats()
-	a.CollectionTime = time.Since(t2)
-	return a, nil
+	return nil
 }
 
-// entryMatch reports whether ind is selected by the entry list: empty
-// list selects everything; entries are "p/n" indicators or bare names.
-func entryMatch(entries []string, ind string) bool {
-	if len(entries) == 0 {
-		return true
+// Goals open-calls each entry predicate in indicator order. Results are
+// a fixpoint and do not depend on it, but the evaluation trajectory
+// (resolution and producer-pass counts) does; a map-order walk here made
+// those counters differ from run to run on the same input, which the
+// tables_trie_vs_stringmap oracle compares exactly.
+func (d *domain) Goals(entries []analysis.Entry) []analysis.Goal {
+	var goals []analysis.Goal
+	for _, ind := range analysis.Indicators(entries) {
+		goals = append(goals, analysis.Goal{Ind: ind, Call: term.OpenCall(d.tf.Preds[ind])})
 	}
-	name, _ := splitSrcInd(ind)
-	for _, e := range entries {
-		if e == ind || e == name {
-			return true
+	return goals
+}
+
+// Collect gathers each predicate's abstract answers. Predicates sliced
+// away have no tables; collecting them through the same path makes
+// their (empty, unreachable) results match an unsliced run's.
+func (d *domain) Collect(m *engine.Machine) {
+	for _, ind := range d.defined {
+		abs, analyzed := d.tf.Preds[ind]
+		if !analyzed {
+			name, arity := term.SplitIndicator(ind)
+			abs = fmt.Sprintf("%s/%d", absName(name), arity)
 		}
+		d.a.Results[ind] = collect(m, ind, abs)
 	}
-	return false
-}
-
-func splitSrcInd(ind string) (string, int) {
-	i := strings.LastIndexByte(ind, '/')
-	if i < 0 {
-		return ind, -1
-	}
-	var n int
-	fmt.Sscanf(ind[i+1:], "%d", &n)
-	return ind[:i], n
-}
-
-func openCall(absInd string) term.Term {
-	i := strings.LastIndexByte(absInd, '/')
-	var n int
-	fmt.Sscanf(absInd[i+1:], "%d", &n)
-	args := make([]term.Term, n)
-	for j := range args {
-		args[j] = term.NewVar("V")
-	}
-	return term.NewCompound(absInd[:i], args...)
 }
 
 func collect(m *engine.Machine, srcInd, absInd string) *PredResult {
-	i := strings.LastIndexByte(absInd, '/')
-	var arity int
-	fmt.Sscanf(absInd[i+1:], "%d", &arity)
+	_, arity := term.SplitIndicator(absInd)
 	res := &PredResult{Indicator: srcInd, Arity: arity}
 	seen := map[string]bool{}
 	for _, dump := range m.DumpTables(absInd) {
+		res.Reachable = true
 		for _, ans := range dump.Answers {
 			key := term.Canonical(ans)
 			if seen[key] {

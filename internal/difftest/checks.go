@@ -3,7 +3,6 @@ package difftest
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"xlp/internal/bddprop"
@@ -11,6 +10,7 @@ import (
 	"xlp/internal/depthk"
 	"xlp/internal/engine"
 	"xlp/internal/gaia"
+	"xlp/internal/lint"
 	"xlp/internal/obs"
 	"xlp/internal/prop"
 	"xlp/internal/randgen"
@@ -68,6 +68,7 @@ func Checks() []Check {
 		{Name: "prop-goalreorder", Lang: randgen.LangProlog, Run: propGoalReorder},
 		{Name: "depthk-clausereorder", Lang: randgen.LangProlog, Run: depthkClauseReorder},
 		{Name: "depthk-alpha", Lang: randgen.LangProlog, Run: depthkAlpha},
+		{Name: "depthk-slice", Lang: randgen.LangProlog, Run: depthkSlice},
 		{Name: "engine-bottomup", Lang: randgen.LangProlog, DatalogOnly: true, Run: engineVsBottomup},
 		{Name: "naive-seminaive", Lang: randgen.LangProlog, DatalogOnly: true, Run: naiveVsSemiNaive},
 		{Name: "strict-supp", Lang: randgen.LangFL, Run: strictSupp},
@@ -332,6 +333,34 @@ func depthkAlpha(m Meta, src string) error {
 	return diffSummaries("base", "alpha", depthkSummary(base, nil), depthkSummary(ren, nil), false)
 }
 
+// depthkSlice: goal-directed depth-k analysis of the entry's sliced
+// cone must equal the unsliced goal-directed run, and both runs must
+// reach the entry predicate — two runs that analyzed nothing would
+// agree vacuously.
+func depthkSlice(m Meta, src string) error {
+	full, err := depthk.Analyze(src, depthk.Options{K: depthkK, Entry: []string{m.Entry}})
+	if err != nil {
+		return fmt.Errorf("error: depthk entry: %w", err)
+	}
+	sliced, err := depthk.Analyze(src, depthk.Options{K: depthkK, Entry: []string{m.Entry}, Slice: true})
+	if err != nil {
+		return fmt.Errorf("error: depthk sliced: %w", err)
+	}
+	inds, _, err := lint.ResolveEntry(m.Entry, m.Preds)
+	if err != nil {
+		return fmt.Errorf("error: %w", err)
+	}
+	for _, ind := range inds {
+		if r := full.Results[ind]; r == nil || !r.Reachable {
+			return fmt.Errorf("mismatch: unsliced run did not reach entry %s", ind)
+		}
+		if r := sliced.Results[ind]; r == nil || !r.Reachable {
+			return fmt.Errorf("mismatch: sliced run did not reach entry %s", ind)
+		}
+	}
+	return diffSummaries("unsliced", "sliced", depthkSummary(full, nil), depthkSummary(sliced, nil), false)
+}
+
 // engineAnswers enumerates all answers to an open call of each predicate
 // on the tabled top-down engine.
 func engineAnswers(src string, preds []string) (map[string]string, error) {
@@ -341,12 +370,9 @@ func engineAnswers(src string, preds []string) (map[string]string, error) {
 	}
 	out := map[string]string{}
 	for _, ind := range preds {
-		goal, err := openCall(ind)
-		if err != nil {
-			return nil, err
-		}
+		goal := term.OpenCall(ind)
 		var answers []term.Term
-		err = m.Solve(goal, func() bool {
+		err := m.Solve(goal, func() bool {
 			answers = append(answers, term.Rename(term.Resolve(goal), nil))
 			return false
 		})
@@ -356,23 +382,6 @@ func engineAnswers(src string, preds []string) (map[string]string, error) {
 		out[ind] = answerSet(answers)
 	}
 	return out, nil
-}
-
-// openCall builds an all-variables call term from an indicator.
-func openCall(ind string) (term.Term, error) {
-	i := strings.LastIndexByte(ind, '/')
-	if i < 0 {
-		return nil, fmt.Errorf("bad indicator %q", ind)
-	}
-	arity, err := strconv.Atoi(ind[i+1:])
-	if err != nil {
-		return nil, fmt.Errorf("bad indicator %q", ind)
-	}
-	args := make([]term.Term, arity)
-	for j := range args {
-		args[j] = term.NewVar(fmt.Sprintf("A%d", j))
-	}
-	return term.NewCompound(ind[:i], args...), nil
 }
 
 // bottomupFacts computes the fixpoint and returns the canonical fact set

@@ -76,7 +76,7 @@ func bddSummary(a *bddprop.Analysis) map[string]string {
 }
 
 // depthkSummary flattens a depth-k analysis: sorted canonical abstract
-// answers plus the ground-argument vector.
+// answers, the ground-argument vector and reachability.
 func depthkSummary(a *depthk.Analysis, rename map[string]string) map[string]string {
 	out := map[string]string{}
 	for ind, r := range a.Results {
@@ -85,8 +85,8 @@ func depthkSummary(a *depthk.Analysis, rename map[string]string) map[string]stri
 			answers[i] = term.Canonical(t)
 		}
 		sort.Strings(answers)
-		out[mapIndicator(ind, rename)] = fmt.Sprintf("answers=%s ground=%v",
-			strings.Join(answers, " ; "), r.GroundArgs)
+		out[mapIndicator(ind, rename)] = fmt.Sprintf("answers=%s ground=%v reachable=%v",
+			strings.Join(answers, " ; "), r.GroundArgs, r.Reachable)
 	}
 	return out
 }

@@ -119,7 +119,8 @@ func AnalyzeCtx(ctx context.Context, src string) (*Analysis, error) {
 }
 
 // AnalyzeEntries is AnalyzeCtx restricted to the call-graph cone of the
-// entry predicates ("p/n" indicators or bare names, via lint.Slice):
+// entry points (indicators, bare names or goals, read by
+// lint.ResolveEntry; one that selects nothing defined fails the run):
 // only predicates in the cone are loaded and analyzed. Because a
 // predicate's all-free fixpoint depends only on its callees — all inside
 // the cone — the cone results are identical to a full run's; predicates
@@ -151,7 +152,16 @@ func AnalyzeTimed(ctx context.Context, src string, entries []string, tl *obs.Tim
 	}
 	tl.Start("load")
 	if len(entries) > 0 {
-		clauses = lint.Slice(clauses, entries)
+		defined := lint.Predicates(clauses)
+		var inds []string
+		for _, e := range entries {
+			sel, _, err := lint.ResolveEntry(e, defined)
+			if err != nil {
+				return nil, fmt.Errorf("gaia: %w", err)
+			}
+			inds = append(inds, sel...)
+		}
+		clauses = lint.Slice(clauses, inds)
 	}
 	az := &analyzer{
 		preds:      map[string]*pred{},

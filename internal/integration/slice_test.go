@@ -49,22 +49,6 @@ func corpusEntry(t *testing.T, src string) string {
 	return preds[0]
 }
 
-// openGoal renders "p/2" as the open call "p(S1, S2)".
-func openGoal(ind string) string {
-	i := strings.LastIndexByte(ind, '/')
-	name := ind[:i]
-	var n int
-	fmt.Sscanf(ind[i+1:], "%d", &n)
-	if n == 0 {
-		return name
-	}
-	args := make([]string, n)
-	for j := range args {
-		args[j] = fmt.Sprintf("S%d", j+1)
-	}
-	return name + "(" + strings.Join(args, ", ") + ")"
-}
-
 // TestPropSliceAgreementOnCorpus: goal-directed groundness analysis of
 // the sliced program computes exactly the results of the same
 // goal-directed run over the full program, for every logic benchmark —
@@ -76,7 +60,7 @@ func TestPropSliceAgreementOnCorpus(t *testing.T) {
 	for _, p := range corpus.LogicPrograms() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			entry := openGoal(corpusEntry(t, p.Source))
+			entry := corpusEntry(t, p.Source)
 			fullRun, err := prop.Analyze(p.Source, prop.Options{Entry: []string{entry}})
 			if err != nil {
 				t.Fatalf("unsliced: %v", err)

@@ -62,7 +62,7 @@ func buildFLGraph(prog *fl.Program, infos []prolog.ClauseInfo) (*Graph, []Diagno
 		}
 		p := b.g.Preds[ind]
 		if p == nil {
-			name, arity := splitInd(ind)
+			name, arity := term.SplitIndicator(ind)
 			p = &Pred{Ind: ind, Name: name, Arity: arity, Pos: c.GoalPos(lhs)}
 			b.g.Preds[ind] = p
 			b.g.Order = append(b.g.Order, ind)
@@ -143,10 +143,10 @@ func lessPos(a, b prolog.Pos) bool {
 }
 
 // SliceFL returns the sub-program of functions reachable from the entry
-// indicators ("f/n" or bare "f"). Constructors are kept whole — they
-// cost nothing and keep the strictness transform's pattern-match
-// predicates identical on the cone. With no entries the program is
-// returned unchanged.
+// points, read by ResolveEntry ("f/n", bare "f" or a goal "f(X)").
+// Constructors are kept whole — they cost nothing and keep the
+// strictness transform's pattern-match predicates identical on the
+// cone. With no entries the program is returned unchanged.
 func SliceFL(p *fl.Program, entries []string) *fl.Program {
 	if len(entries) == 0 {
 		return p
@@ -187,14 +187,9 @@ func SliceFL(p *fl.Program, entries []string) *fl.Program {
 		}
 	}
 	for _, e := range entries {
-		if _, arity := splitInd(e); arity >= 0 {
-			add(e)
-			continue
-		}
-		for ind, f := range p.Funcs {
-			if f.Name == e {
-				add(ind)
-			}
+		inds, _, _ := ResolveEntry(e, p.Order)
+		for _, ind := range inds {
+			add(ind)
 		}
 	}
 	for len(work) > 0 {

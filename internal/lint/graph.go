@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"xlp/internal/prolog"
 	"xlp/internal/term"
@@ -148,8 +147,9 @@ func (g *Graph) cyclicWithin(scc []string, edges map[string][]string) bool {
 }
 
 // Reachable returns the set of defined indicators reachable from the
-// entry points. Entries may be full indicators ("main/0") or bare names
-// ("main", matching every arity). Unknown entries contribute nothing.
+// entry points, read by ResolveEntry: indicators ("main/0"), bare names
+// ("main", matching every arity) or goals ("main(X)"). Unknown entries
+// contribute nothing.
 func (g *Graph) Reachable(entries []string) map[string]bool {
 	var work []string
 	seen := map[string]bool{}
@@ -160,24 +160,9 @@ func (g *Graph) Reachable(entries []string) map[string]bool {
 		}
 	}
 	for _, e := range entries {
-		// Goal syntax ("main(X)"), as the analyzers' Entry options use,
-		// normalizes to the goal's indicator.
-		if strings.ContainsRune(e, '(') {
-			if goal, _, err := prolog.ParseTerm(e); err == nil {
-				if ind, ok := term.Indicator(goal); ok {
-					add(ind)
-				}
-			}
-			continue
-		}
-		if _, arity := splitInd(e); arity >= 0 {
-			add(e)
-			continue
-		}
-		for _, ind := range g.Order {
-			if name, _ := splitInd(ind); name == e {
-				add(ind)
-			}
+		inds, _, _ := ResolveEntry(e, g.Order)
+		for _, ind := range inds {
+			add(ind)
 		}
 	}
 	for len(work) > 0 {
@@ -245,7 +230,7 @@ func (b *builder) clause(c *prolog.ClauseInfo) {
 	}
 	p := b.g.Preds[ind]
 	if p == nil {
-		name, arity := splitInd(ind)
+		name, arity := term.SplitIndicator(ind)
 		p = &Pred{Ind: ind, Name: name, Arity: arity, Pos: c.GoalPos(head)}
 		b.g.Preds[ind] = p
 		b.g.Order = append(b.g.Order, ind)

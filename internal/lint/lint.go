@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"xlp/internal/prolog"
+	"xlp/internal/term"
 )
 
 // Severity grades a diagnostic.
@@ -222,10 +223,10 @@ func undefinedDiagnostics(g *Graph) []Diagnostic {
 // same name at a different arity, or a name one edit away at the same
 // arity.
 func (g *Graph) nearMiss(ind string) string {
-	name, arity := splitInd(ind)
+	name, arity := term.SplitIndicator(ind)
 	var sameName, closeName []string
 	for _, dInd := range g.Order {
-		dName, dArity := splitInd(dInd)
+		dName, dArity := term.SplitIndicator(dInd)
 		if dName == name && dArity != arity {
 			sameName = append(sameName, dInd)
 		} else if dArity == arity && editDistance1(dName, name) {
@@ -342,14 +343,4 @@ func untabledRecursionDiagnostics(g *Graph) []Diagnostic {
 		})
 	}
 	return out
-}
-
-func splitInd(ind string) (string, int) {
-	i := strings.LastIndexByte(ind, '/')
-	if i < 0 {
-		return ind, -1
-	}
-	var n int
-	fmt.Sscanf(ind[i+1:], "%d", &n)
-	return ind[:i], n
 }

@@ -479,6 +479,37 @@ deader.
 	}
 }
 
+// TestResolveEntry: an indicator, quoted or as the tools print it,
+// selects that predicate; a bare name every arity; a goal its
+// indicator, returned with the goal. Entries that select nothing or do
+// not parse are errors.
+func TestResolveEntry(t *testing.T) {
+	defined := []string{"main/0", "main/1", "F/1", "++/3"}
+	for _, tc := range []struct {
+		entry string
+		want  []string
+		goal  bool
+	}{
+		{"main/1", []string{"main/1"}, false},
+		{"main", []string{"main/0", "main/1"}, false},
+		{"main(X)", []string{"main/1"}, true},
+		{"'F'/1", []string{"F/1"}, false},
+		{"F/1", []string{"F/1"}, false},
+		{"'F'(a)", []string{"F/1"}, true},
+		{"'++'/3", []string{"++/3"}, false},
+		{"++/3", []string{"++/3"}, false},
+		{"'++'", []string{"++/3"}, false},
+		{"nosuch", nil, false},
+		{"main/2", nil, false},
+		{"main((", nil, false},
+	} {
+		got, goal, err := ResolveEntry(tc.entry, defined)
+		if !reflect.DeepEqual(got, tc.want) || (goal != nil) != tc.goal || (err == nil) != (tc.want != nil) {
+			t.Errorf("ResolveEntry(%q) = %v, %v, %v; want %v, goal %v", tc.entry, got, goal, err, tc.want, tc.goal)
+		}
+	}
+}
+
 // --- Slice tests ---------------------------------------------------------
 
 func TestSlice(t *testing.T) {

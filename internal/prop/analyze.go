@@ -1,66 +1,21 @@
 package prop
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
+	"xlp/internal/analysis"
 	"xlp/internal/boolfn"
 	"xlp/internal/engine"
 	"xlp/internal/lint"
-	"xlp/internal/obs"
 	"xlp/internal/prolog"
 	"xlp/internal/term"
 )
 
-// Options configure an analysis run.
-type Options struct {
-	// Mode selects dynamic loading (the paper's recommended assert-based
-	// path) or closure compilation (§4's comparison point).
-	Mode engine.LoadMode
-	// Tables selects the engine's table representation: trie-indexed
-	// (default) or the canonical-string maps kept for differential
-	// testing (engine.TablesStringMap).
-	Tables engine.TablesImpl
-	// Entry lists source-level entry goals, e.g. "main(X)". When given,
-	// the analysis is goal-directed: only calls reachable from the
-	// entries are analyzed and the recorded calls yield input groundness.
-	// When empty, every defined predicate is analyzed with an open call
-	// (output groundness only, all-free call pattern).
-	Entry []string
-	// Slice, with Entry set, restricts transformation and loading to the
-	// call-graph cone of the entry predicates (lint.Slice). Predicates
-	// outside the cone still appear in Results as unreachable — exactly
-	// as a goal-directed run over the full program reports them — so
-	// slicing changes cost, never answers. Ignored without Entry.
-	Slice bool
-	// PureIff evaluates iff/N through generated Prolog clauses instead
-	// of the native builtin (slower; used for validation).
-	PureIff bool
-	// Limits are passed to the engine.
-	Limits engine.Limits
-	// Ctx, when non-nil, cancels the analysis: the engine polls it
-	// during evaluation and the run fails with engine.ErrCanceled or
-	// engine.ErrDeadline once it is done.
-	Ctx context.Context
-	// Timeline, when non-nil, records the run's phases
-	// (parse/transform/load/solve/collect) as contiguous spans. The
-	// caller owns the timeline; the analysis closes its last phase.
-	Timeline *obs.Timeline
-	// Tracer, when non-nil, is installed on the engine for the solve
-	// phase (event ring + per-predicate counters).
-	Tracer obs.EngineTracer
-	// Provenance enables the engine's justification recorder and
-	// retains the machine (with its live tables) on the returned
-	// Analysis, so recorded answers can be explained after the run
-	// (Analysis.Explain, `xlp why`). Source clause positions are
-	// stamped onto the generated abstract clauses, so derivations
-	// point back into the source program.
-	Provenance bool
-}
+// Options configure an analysis run; prop also reads PureIff. With
+// Provenance, source clause positions are stamped onto the generated
+// abstract clauses, so derivations point back into the source program.
+type Options = analysis.Options
 
 // GroundState describes one argument position of a recorded call.
 type GroundState int
@@ -122,245 +77,126 @@ func (r *PredResult) FormatSuccess() string {
 // Analysis is a full groundness-analysis run with the paper's cost
 // breakdown (Table 1's columns).
 type Analysis struct {
-	Results map[string]*PredResult
-
-	PreprocTime    time.Duration // transform + load ("Preproc." column)
-	AnalysisTime   time.Duration // tabled evaluation ("Analysis")
-	CollectionTime time.Duration // result extraction ("Collection")
-	TableBytes     int           // "Table space (bytes)"
-	TableNodes     int           // trie nodes backing the tables (0 under string maps)
-	EngineStats    engine.Stats
-	Timeline       *obs.Timeline // phase spans, when requested via Options
-	AbstractSize   int           // number of abstract clauses
+	analysis.Report
+	Results      map[string]*PredResult
+	AbstractSize int // number of abstract clauses
 	// SlicedOut lists predicates removed by Options.Slice before the
 	// transform (reported in Results as unreachable), in definition order.
 	SlicedOut []string
-
-	// Machine is the engine that ran the analysis, retained — with its
-	// full tables alive — only when Options.Provenance was set; nil
-	// otherwise.
-	Machine *engine.Machine
-	// AbsPreds maps source indicators (p/n) to abstract ones (gp_p/n);
-	// retained with Machine so explanation surfaces can find the
-	// abstract subgoal behind a source predicate.
-	AbsPreds map[string]string
-}
-
-// Explain builds the justification DAG for the recorded answers of a
-// source predicate's abstract subgoal. pred is an indicator ("app/3")
-// or a bare name (matching the smallest arity defined). The analysis
-// must have run with Options.Provenance.
-func (a *Analysis) Explain(pred string, maxNodes int) (*obs.Derivation, error) {
-	if a.Machine == nil {
-		return nil, fmt.Errorf("prop: analysis ran without Options.Provenance")
-	}
-	absInd, ok := a.AbsPreds[pred]
-	if !ok {
-		// Bare name: take the smallest matching arity for determinism.
-		inds := make([]string, 0, len(a.AbsPreds))
-		for ind := range a.AbsPreds {
-			if name, _ := splitInd(ind); name == pred {
-				inds = append(inds, ind)
-			}
-		}
-		if len(inds) == 0 {
-			return nil, fmt.Errorf("prop: no predicate %s in the analyzed program", pred)
-		}
-		sort.Slice(inds, func(i, j int) bool {
-			_, ni := splitInd(inds[i])
-			_, nj := splitInd(inds[j])
-			return ni < nj
-		})
-		absInd = a.AbsPreds[inds[0]]
-	}
-	return a.Machine.Explain(openCall(absInd), maxNodes)
-}
-
-// Total returns the overall analysis time.
-func (a *Analysis) Total() time.Duration {
-	return a.PreprocTime + a.AnalysisTime + a.CollectionTime
-}
-
-// Sorted returns results in indicator order.
-func (a *Analysis) Sorted() []*PredResult {
-	inds := make([]string, 0, len(a.Results))
-	for ind := range a.Results {
-		inds = append(inds, ind)
-	}
-	sort.Strings(inds)
-	out := make([]*PredResult, len(inds))
-	for i, ind := range inds {
-		out[i] = a.Results[ind]
-	}
-	return out
 }
 
 // Analyze runs Prop-domain groundness analysis on a Prolog source
 // program.
 func Analyze(src string, opts Options) (*Analysis, error) {
-	opts.Timeline.Start("parse")
-	if opts.Provenance {
+	d := &domain{opts: opts, a: &Analysis{Results: map[string]*PredResult{}}}
+	rep, err := analysis.Run(src, opts, d)
+	if err != nil {
+		return nil, err
+	}
+	d.a.Report = rep
+	return d.a, nil
+}
+
+// domain is the Prop domain on the analysis pipeline.
+type domain struct {
+	opts    Options
+	a       *Analysis
+	full    []term.Term // the parsed program
+	defined []string    // its predicates, in definition order
+	clauses []term.Term // the program analyzed: full, or its slice
+	pos     map[term.Term]prolog.Pos
+	tf      *Transformed
+}
+
+func (d *domain) Name() string { return "prop" }
+
+func (d *domain) Parse(src string) ([]string, error) {
+	if d.opts.Provenance {
 		// Track positions so justifications can cite source clauses.
 		infos, err := prolog.ParseProgramInfo(src)
 		if err != nil {
-			opts.Timeline.End()
 			return nil, err
 		}
-		clauses := make([]term.Term, len(infos))
-		pos := make(map[term.Term]prolog.Pos, len(infos))
-		for i, ci := range infos {
-			clauses[i] = ci.Term
-			pos[ci.Term] = ci.Pos
+		d.pos = make(map[term.Term]prolog.Pos, len(infos))
+		for _, ci := range infos {
+			d.full = append(d.full, ci.Term)
+			d.pos[ci.Term] = ci.Pos
 		}
-		return analyzeClauses(clauses, pos, opts)
-	}
-	clauses, err := prolog.ParseProgram(src)
-	if err != nil {
-		opts.Timeline.End()
-		return nil, err
-	}
-	return AnalyzeClauses(clauses, opts)
-}
-
-// AnalyzeClauses analyzes pre-parsed source clauses (no source
-// positions: provenance records, if enabled, cite clause indexes only).
-func AnalyzeClauses(clauses []term.Term, opts Options) (*Analysis, error) {
-	return analyzeClauses(clauses, nil, opts)
-}
-
-// analyzeClauses is the shared implementation; clausePos, when non-nil,
-// maps source clause terms to their positions for provenance stamping.
-func analyzeClauses(clauses []term.Term, clausePos map[term.Term]prolog.Pos, opts Options) (*Analysis, error) {
-	a := &Analysis{Results: map[string]*PredResult{}}
-
-	// ---- Phase 1: preprocessing (slice + transform + load). ----
-	tl := opts.Timeline
-	a.Timeline = tl
-	defer tl.End()
-	t0 := time.Now()
-	tl.Start("transform")
-	full := clauses
-	if opts.Slice && len(opts.Entry) > 0 {
-		entries, err := entryIndicators(opts.Entry)
-		if err != nil {
+	} else {
+		var err error
+		if d.full, err = prolog.ParseProgram(src); err != nil {
 			return nil, err
 		}
-		clauses = lint.Slice(clauses, entries)
 	}
-	tf, err := Transform(clauses)
+	d.defined = lint.Predicates(d.full)
+	return d.defined, nil
+}
+
+func (d *domain) Transform(keep []string) (map[string]string, error) {
+	d.clauses = d.full
+	if keep != nil {
+		d.clauses = lint.Slice(d.full, keep)
+	}
+	tf, err := Transform(d.clauses)
 	if err != nil {
 		return nil, err
 	}
-	tl.Start("load")
-	m := engine.New()
-	m.Mode = opts.Mode
-	m.Tables = opts.Tables
-	m.Limits = opts.Limits
-	m.Provenance = opts.Provenance
-	m.SetContext(opts.Ctx)
-	m.SetTracer(opts.Tracer)
-	maxIff := tf.MaxIffArity
-	if maxIff < 2 {
-		maxIff = 2
-	}
-	if opts.PureIff {
+	d.tf = tf
+	d.a.AbstractSize = len(tf.Clauses)
+	return tf.Preds, nil
+}
+
+func (d *domain) Load(m *engine.Machine) error {
+	maxIff := max(d.tf.MaxIffArity, 2)
+	if d.opts.PureIff {
 		if err := m.Consult(PureIffClauses(maxIff)); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		RegisterIff(m, maxIff)
 	}
-	if err := m.ConsultTerms(tf.Clauses); err != nil {
-		return nil, err
+	if err := m.ConsultTerms(d.tf.Clauses); err != nil {
+		return err
 	}
 	// Table every abstract predicate; declare called-but-undefined ones
 	// so they fail finitely.
-	for _, abs := range tf.Preds {
+	for _, abs := range d.tf.Preds {
 		m.Table(abs)
 	}
-	for _, abs := range tf.Called {
+	for _, abs := range d.tf.Called {
 		m.Table(abs)
 	}
-	a.AbstractSize = len(tf.Clauses)
-	if opts.Provenance {
-		a.Machine = m
-		a.AbsPreds = tf.Preds
-		stampPositions(m, clauses, tf.Preds, clausePos)
-	}
-	a.PreprocTime = time.Since(t0)
+	stampPositions(m, d.clauses, d.tf.Preds, d.pos)
+	return nil
+}
 
-	// ---- Phase 2: analysis (tabled evaluation). ----
-	tl.Start("solve")
-	t1 := time.Now()
-	if len(opts.Entry) > 0 {
-		goals := make([]term.Term, 0, len(opts.Entry))
-		for _, e := range opts.Entry {
-			goal, _, err := prolog.ParseTerm(e)
-			if err != nil {
-				return nil, fmt.Errorf("prop: bad entry goal %q: %v", e, err)
-			}
-			absGoal, err := abstractEntry(goal)
-			if err != nil {
-				return nil, err
-			}
-			goals = append(goals, absGoal)
+// Goals calls each entry's abstract predicate, in entry order: open, or
+// with the entry goal's ground arguments as true inputs.
+func (d *domain) Goals(entries []analysis.Entry) []analysis.Goal {
+	goals := make([]analysis.Goal, len(entries))
+	for i, e := range entries {
+		call := term.OpenCall(d.tf.Preds[e.Ind])
+		if e.Goal != nil {
+			call = abstractEntry(e.Goal)
 		}
-		if err := m.SolveAll(goals); err != nil {
-			return nil, err
-		}
-	} else {
-		// Solve in sorted indicator order. Results are a fixpoint and do
-		// not depend on it, but the evaluation trajectory (resolution and
-		// producer-pass counts) does; a map-order walk here made those
-		// counters differ from run to run on the same input, which the
-		// tables_trie_vs_stringmap oracle compares exactly.
-		inds := make([]string, 0, len(tf.Preds))
-		for ind := range tf.Preds {
-			inds = append(inds, ind)
-		}
-		sort.Strings(inds)
-		goals := make([]term.Term, len(inds))
-		for i, ind := range inds {
-			goals[i] = openCall(tf.Preds[ind])
-		}
-		if err := m.SolveAll(goals); err != nil {
-			ind := "?"
-			var ge *engine.GoalError
-			if errors.As(err, &ge) {
-				ind = inds[ge.Index]
-			}
-			return nil, fmt.Errorf("prop: analyzing %s: %w", ind, err)
-		}
+		goals[i] = analysis.Goal{Ind: e.Ind, Call: call}
 	}
-	a.AnalysisTime = time.Since(t1)
+	return goals
+}
 
-	// ---- Phase 3: collection. ----
-	tl.Start("collect")
-	t2 := time.Now()
-	for ind, abs := range tf.Preds {
-		a.Results[ind] = collect(m, ind, abs)
-	}
-	// Predicates sliced away never reached the engine; report them the
-	// way a goal-directed run over the full program would — unreachable,
-	// with the empty success function.
-	for _, ind := range lint.Predicates(full) {
-		if _, analyzed := a.Results[ind]; analyzed {
-			continue
+// Collect folds each predicate's tables into its result. Predicates
+// sliced away have no tables: collecting them through the same path
+// reports them the way a goal-directed run over the full program would
+// — unreachable, with the empty success function.
+func (d *domain) Collect(m *engine.Machine) {
+	for _, ind := range d.defined {
+		abs, analyzed := d.tf.Preds[ind]
+		if !analyzed {
+			abs = AbsIndicator(ind)
+			d.a.SlicedOut = append(d.a.SlicedOut, ind)
 		}
-		a.SlicedOut = append(a.SlicedOut, ind)
-		_, arity := splitInd(ind)
-		res := &PredResult{Indicator: ind, Arity: arity, Success: boolfn.False(arity)}
-		res.GroundArgs = make([]bool, arity)
-		for i := 0; i < arity; i++ {
-			res.GroundArgs[i] = res.Success.CertainlyGround(i)
-		}
-		a.Results[ind] = res
+		d.a.Results[ind] = collect(m, ind, abs)
 	}
-	a.TableBytes = m.TableSpace()
-	a.TableNodes = m.TableNodes()
-	a.EngineStats = m.Stats()
-	a.CollectionTime = time.Since(t2)
-	return a, nil
 }
 
 // stampPositions copies source clause positions onto the generated
@@ -395,58 +231,19 @@ func stampPositions(m *engine.Machine, clauses []term.Term, preds map[string]str
 	}
 }
 
-// openCall builds gp_p(V1..Vn) for an abstract indicator.
-func openCall(absInd string) term.Term {
-	name, arity := splitInd(absInd)
-	args := make([]term.Term, arity)
-	for i := range args {
-		args[i] = term.NewVar("V")
-	}
-	return term.NewCompound(name, args...)
-}
-
-// entryIndicators maps source entry goals ("main(X)") to predicate
-// indicators ("main/1") for the slicer.
-func entryIndicators(entries []string) ([]string, error) {
-	out := make([]string, 0, len(entries))
-	for _, e := range entries {
-		goal, _, err := prolog.ParseTerm(e)
-		if err != nil {
-			return nil, fmt.Errorf("prop: bad entry goal %q: %v", e, err)
-		}
-		ind, ok := term.Indicator(goal)
-		if !ok {
-			return nil, fmt.Errorf("prop: non-callable entry goal %v", goal)
-		}
-		out = append(out, ind)
-	}
-	return out, nil
-}
-
-func splitInd(ind string) (string, int) {
-	i := strings.LastIndexByte(ind, '/')
-	var n int
-	fmt.Sscanf(ind[i+1:], "%d", &n)
-	return ind[:i], n
-}
-
 // abstractEntry maps a source entry goal to the abstract call: ground
 // arguments become true, variables stay free.
-func abstractEntry(goal term.Term) (term.Term, error) {
-	name, args, ok := term.FunctorArity(goal)
-	if !ok {
-		return nil, fmt.Errorf("prop: non-callable entry goal %v", goal)
-	}
+func abstractEntry(goal term.Term) term.Term {
+	name, args, _ := term.FunctorArity(goal)
 	absArgs := make([]term.Term, len(args))
 	for i, arg := range args {
-		switch {
-		case term.IsGround(arg):
+		if term.IsGround(arg) {
 			absArgs[i] = atomTrue
-		default:
+		} else {
 			absArgs[i] = term.NewVar("E")
 		}
 	}
-	return term.NewCompound(absName(name), absArgs...), nil
+	return term.NewCompound(absName(name), absArgs...)
 }
 
 // collect folds a predicate's call tables into a PredResult: each answer
@@ -454,7 +251,7 @@ func abstractEntry(goal term.Term) (term.Term, error) {
 // values); the disjunction of rows is the success formula. The calls
 // recorded in the table give the input patterns.
 func collect(m *engine.Machine, srcInd, absInd string) *PredResult {
-	_, arity := splitInd(absInd)
+	_, arity := term.SplitIndicator(absInd)
 	res := &PredResult{
 		Indicator: srcInd,
 		Arity:     arity,

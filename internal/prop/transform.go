@@ -3,27 +3,12 @@ package prop
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"xlp/internal/boolfn"
 	"xlp/internal/prolog"
 	"xlp/internal/term"
 )
-
-// indArity extracts the arity from a "name/arity" indicator (0 when
-// malformed — malformed indicators never reach the boolean domain).
-func indArity(ind string) int {
-	i := strings.LastIndexByte(ind, '/')
-	if i < 0 {
-		return 0
-	}
-	n, err := strconv.Atoi(ind[i+1:])
-	if err != nil {
-		return 0
-	}
-	return n
-}
 
 // Prefix is prepended to predicate names in the abstract program:
 // p/n in the source becomes gp_p/n (Figure 1's gp subscript).
@@ -58,7 +43,7 @@ func Transform(clauses []term.Term) (*Transformed, error) {
 		if !ok {
 			return nil, fmt.Errorf("prop: non-callable clause head %v", head)
 		}
-		if a := indArity(ind); a > boolfn.MaxVars {
+		if _, a := term.SplitIndicator(ind); a > boolfn.MaxVars {
 			return nil, fmt.Errorf("prop: %s exceeds the %d-argument limit of the boolean domain", ind, boolfn.MaxVars)
 		}
 		absInd, err := tr.clause(head, body, called)
@@ -70,7 +55,7 @@ func Transform(clauses []term.Term) (*Transformed, error) {
 	}
 	for ind := range called {
 		if !defined[ind] {
-			if a := indArity(ind); a > boolfn.MaxVars {
+			if _, a := term.SplitIndicator(ind); a > boolfn.MaxVars {
 				return nil, fmt.Errorf("prop: call to %s exceeds the %d-argument limit of the boolean domain",
 					strings.TrimPrefix(ind, Prefix), boolfn.MaxVars)
 			}

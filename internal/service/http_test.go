@@ -141,6 +141,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"query via analyze", "/v1/analyze/query", apiRequest{Source: "a."}, http.StatusNotFound},
 		{"empty source", "/v1/analyze/groundness", apiRequest{}, http.StatusBadRequest},
 		{"parse error", "/v1/analyze/groundness", apiRequest{Source: "a :- ."}, http.StatusUnprocessableEntity},
+		{"gaia unknown entry", "/v1/analyze/gaia", apiRequest{Source: "a.", Options: Options{Entry: []string{"nosuch"}}}, http.StatusUnprocessableEntity},
 		{"query without goal", "/v1/query", apiRequest{Source: "a."}, http.StatusBadRequest},
 		{"unknown field", "/v1/query", map[string]any{"prog": "a."}, http.StatusBadRequest},
 		// Options the service no longer has are rejected, not ignored.

@@ -8,11 +8,11 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"xlp/internal/analysis"
 	"xlp/internal/bddprop"
 	"xlp/internal/depthk"
 	"xlp/internal/engine"
@@ -650,25 +650,16 @@ func (s *Service) run(j *job) (*Response, error) {
 // tracer, when non-nil, is installed on the engine behind tabled kinds
 // (the /debug/tables live watch).
 func execute(ctx context.Context, req *Request, tracer obs.EngineTracer) (*Response, error) {
-	o := req.Options
 	var resp *Response
 	switch req.Kind {
 	case KindGroundness:
-		a, err := prop.Analyze(req.Source, prop.Options{
-			Mode:   o.engineMode(),
-			Tables: o.engineTables(),
-			Entry:  o.Entry,
-			Slice:  o.Slice,
-			Limits: o.engineLimits(),
-			Ctx:    ctx,
-			Tracer: tracer,
-		})
+		a, err := prop.Analyze(req.Source, analysisOptions(ctx, req, tracer))
 		if err != nil {
 			return nil, err
 		}
 		resp = FromGroundness(a)
 	case KindGAIA:
-		a, err := gaia.AnalyzeEntries(ctx, req.Source, o.Entry)
+		a, err := gaia.AnalyzeEntries(ctx, req.Source, req.Options.Entry)
 		if err != nil {
 			return nil, err
 		}
@@ -680,32 +671,13 @@ func execute(ctx context.Context, req *Request, tracer obs.EngineTracer) (*Respo
 		}
 		resp = FromBDD(a)
 	case KindStrictness:
-		a, err := strict.Analyze(req.Source, strict.Options{
-			Mode:            o.engineMode(),
-			Tables:          o.engineTables(),
-			Entry:           o.Entry,
-			Slice:           o.Slice,
-			Limits:          o.engineLimits(),
-			NoSupplementary: o.NoSupplementary,
-			Ctx:             ctx,
-			Tracer:          tracer,
-		})
+		a, err := strict.Analyze(req.Source, analysisOptions(ctx, req, tracer))
 		if err != nil {
 			return nil, err
 		}
 		resp = FromStrictness(a)
 	case KindDepthK:
-		a, err := depthk.Analyze(req.Source, depthk.Options{
-			K:               o.K,
-			Mode:            o.engineMode(),
-			Tables:          o.engineTables(),
-			Entry:           o.Entry,
-			Slice:           o.Slice,
-			Limits:          o.engineLimits(),
-			NoSupplementary: o.NoSupplementary,
-			Ctx:             ctx,
-			Tracer:          tracer,
-		})
+		a, err := depthk.Analyze(req.Source, analysisOptions(ctx, req, tracer))
 		if err != nil {
 			return nil, err
 		}
@@ -723,100 +695,59 @@ func execute(ctx context.Context, req *Request, tracer obs.EngineTracer) (*Respo
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, req.Kind)
 	}
-	if o.Lint {
+	if req.Options.Lint {
 		attachLint(resp, req)
 	}
 	return resp, nil
+}
+
+// analysisOptions maps a request to the tabled analyzers' options. It
+// reads the canonical options, so a field the cache key leaves out for
+// the kind cannot change the result. Explain runs record provenance and
+// never slice: a sliced run would not know the predicates outside the
+// entries' cone.
+func analysisOptions(ctx context.Context, req *Request, tracer obs.EngineTracer) analysis.Options {
+	o := req.canonicalOptions()
+	return analysis.Options{
+		Mode:            o.engineMode(),
+		Tables:          o.engineTables(),
+		Limits:          o.engineLimits(),
+		Entry:           o.Entry,
+		Slice:           req.Options.Slice && req.Kind != KindExplain,
+		Ctx:             ctx,
+		Tracer:          tracer,
+		Provenance:      req.Kind == KindExplain,
+		NoSupplementary: o.NoSupplementary,
+		K:               o.K,
+	}
 }
 
 // executeExplain runs a provenance-enabled analysis (groundness, or
 // strictness when options.lang is "fl") and returns the justification
 // DAG of the requested predicate's recorded answers.
 func executeExplain(ctx context.Context, req *Request, tracer obs.EngineTracer) (*Response, error) {
-	o := req.Options
-	var explain func(pred string, maxNodes int) (*obs.Derivation, error)
-	var preds []string
-	resp := &Response{Kind: KindExplain}
-	if o.Lang == "fl" {
-		a, err := strict.Analyze(req.Source, strict.Options{
-			Mode:       o.engineMode(),
-			Tables:     o.engineTables(),
-			Entry:      o.Entry,
-			Limits:     o.engineLimits(),
-			Ctx:        ctx,
-			Tracer:     tracer,
-			Provenance: true,
-		})
+	opts := analysisOptions(ctx, req, tracer)
+	var rep *analysis.Report
+	if req.Options.Lang == "fl" {
+		a, err := strict.Analyze(req.Source, opts)
 		if err != nil {
 			return nil, err
 		}
-		explain = a.Explain
-		preds = sortedPreds(a.SpPreds)
-		resp.Timings = analysisTimings(a.PreprocTime, a.AnalysisTime, a.CollectionTime)
-		resp.TableBytes = a.TableBytes
-		resp.Engine = engineReport(a.EngineStats)
+		rep = &a.Report
 	} else {
-		a, err := prop.Analyze(req.Source, prop.Options{
-			Mode:       o.engineMode(),
-			Tables:     o.engineTables(),
-			Entry:      o.Entry,
-			Limits:     o.engineLimits(),
-			Ctx:        ctx,
-			Tracer:     tracer,
-			Provenance: true,
-		})
+		a, err := prop.Analyze(req.Source, opts)
 		if err != nil {
 			return nil, err
 		}
-		explain = a.Explain
-		preds = sortedPreds(a.AbsPreds)
-		resp.Timings = analysisTimings(a.PreprocTime, a.AnalysisTime, a.CollectionTime)
-		resp.TableBytes = a.TableBytes
-		resp.Engine = engineReport(a.EngineStats)
+		rep = &a.Report
 	}
-
-	if o.Pred != "" {
-		d, err := explain(o.Pred, o.MaxNodes)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		resp.Derivation = d
-		return resp, nil
+	d, err := rep.Explain(req.Options.Pred, req.Options.MaxNodes)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	// No predicate requested: explain the first one (in indicator
-	// order) that recorded any answer.
-	for _, p := range preds {
-		d, err := explain(p, o.MaxNodes)
-		if err != nil {
-			return nil, err
-		}
-		if len(d.Roots) > 0 {
-			resp.Derivation = d
-			return resp, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: no predicate recorded any answer", ErrBadRequest)
-}
-
-// sortedPreds returns the source indicators of an analysis' predicate
-// map in order.
-func sortedPreds(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// analysisTimings folds an analysis' phase durations to wire form.
-func analysisTimings(preproc, analysis, collection time.Duration) Timings {
-	return Timings{
-		PreprocUs:    preproc.Microseconds(),
-		AnalysisUs:   analysis.Microseconds(),
-		CollectionUs: collection.Microseconds(),
-		TotalUs:      (preproc + analysis + collection).Microseconds(),
-	}
+	resp := fromReport(KindExplain, rep)
+	resp.Derivation = d
+	return resp, nil
 }
 
 // executeQuery consults the program on a fresh machine and runs the

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"xlp/internal/analysis"
 	"xlp/internal/bddprop"
 	"xlp/internal/depthk"
 	"xlp/internal/engine"
@@ -70,9 +71,12 @@ type Options struct {
 	// or "stringmap" (the canonical-string baseline). Answer sets are
 	// identical either way; only table-space accounting differs.
 	Tables string `json:"tables,omitempty"`
-	// Entry lists entry goals or predicate indicators: goal-directed
-	// analysis entry points (groundness, depthk, strictness, gaia) and
-	// lint reachability roots.
+	// Entry lists entry points for goal-directed analysis (groundness,
+	// depthk, strictness, gaia) and lint reachability roots. Each is an
+	// indicator ("main/1"), a bare name ("main", every defined arity)
+	// or a goal ("main(X)", its indicator; groundness also reads its
+	// ground arguments as ground inputs). An analysis entry that
+	// selects nothing the program defines fails the request.
 	Entry []string `json:"entry,omitempty"`
 	// Slice restricts goal-directed analyses to the call-graph cone
 	// reachable from Entry before any program transformation runs.
@@ -391,20 +395,26 @@ func argNames(n int) []string {
 	return names
 }
 
+// fromReport starts the wire form of a tabled analysis: its timings,
+// table space and engine counters.
+func fromReport(kind Kind, r *analysis.Report) *Response {
+	return &Response{
+		Kind: kind,
+		Timings: Timings{
+			PreprocUs:    r.PreprocTime.Microseconds(),
+			AnalysisUs:   r.AnalysisTime.Microseconds(),
+			CollectionUs: r.CollectionTime.Microseconds(),
+			TotalUs:      r.Total().Microseconds(),
+		},
+		TableBytes: r.TableBytes,
+		Engine:     engineReport(r.EngineStats),
+	}
+}
+
 // FromGroundness converts a tabled groundness analysis to wire form.
 func FromGroundness(a *prop.Analysis) *Response {
-	resp := &Response{
-		Kind: KindGroundness,
-		Timings: Timings{
-			PreprocUs:    a.PreprocTime.Microseconds(),
-			AnalysisUs:   a.AnalysisTime.Microseconds(),
-			CollectionUs: a.CollectionTime.Microseconds(),
-			TotalUs:      a.Total().Microseconds(),
-		},
-		TableBytes: a.TableBytes,
-		Engine:     engineReport(a.EngineStats),
-	}
-	for _, r := range a.Sorted() {
+	resp := fromReport(KindGroundness, &a.Report)
+	for _, r := range analysis.Sorted(a.Results) {
 		pr := PredReport{
 			Indicator:  r.Indicator,
 			Arity:      r.Arity,
@@ -430,13 +440,7 @@ func FromGAIA(a *gaia.Analysis) *Response {
 			TotalUs:    a.Total().Microseconds(),
 		},
 	}
-	inds := make([]string, 0, len(a.Results))
-	for ind := range a.Results {
-		inds = append(inds, ind)
-	}
-	sort.Strings(inds)
-	for _, ind := range inds {
-		r := a.Results[ind]
+	for _, r := range analysis.Sorted(a.Results) {
 		resp.Predicates = append(resp.Predicates, PredReport{
 			Indicator:  r.Indicator,
 			Arity:      r.Arity,
@@ -458,13 +462,7 @@ func FromBDD(a *bddprop.Analysis) *Response {
 			TotalUs:    a.Total().Microseconds(),
 		},
 	}
-	inds := make([]string, 0, len(a.Results))
-	for ind := range a.Results {
-		inds = append(inds, ind)
-	}
-	sort.Strings(inds)
-	for _, ind := range inds {
-		r := a.Results[ind]
+	for _, r := range analysis.Sorted(a.Results) {
 		resp.Predicates = append(resp.Predicates, PredReport{
 			Indicator:  r.Indicator,
 			Arity:      r.Arity,
@@ -477,18 +475,8 @@ func FromBDD(a *bddprop.Analysis) *Response {
 
 // FromStrictness converts a strictness analysis to wire form.
 func FromStrictness(a *strict.Analysis) *Response {
-	resp := &Response{
-		Kind: KindStrictness,
-		Timings: Timings{
-			PreprocUs:    a.PreprocTime.Microseconds(),
-			AnalysisUs:   a.AnalysisTime.Microseconds(),
-			CollectionUs: a.CollectionTime.Microseconds(),
-			TotalUs:      a.Total().Microseconds(),
-		},
-		TableBytes: a.TableBytes,
-		Engine:     engineReport(a.EngineStats),
-	}
-	for _, r := range a.Sorted() {
+	resp := fromReport(KindStrictness, &a.Report)
+	for _, r := range analysis.Sorted(a.Results) {
 		fr := FuncReport{
 			Indicator:  r.Indicator,
 			Arity:      r.Arity,
@@ -506,31 +494,15 @@ func FromStrictness(a *strict.Analysis) *Response {
 
 // FromDepthK converts a depth-k groundness analysis to wire form.
 func FromDepthK(a *depthk.Analysis) *Response {
-	resp := &Response{
-		Kind: KindDepthK,
-		K:    a.K,
-		Timings: Timings{
-			PreprocUs:    a.PreprocTime.Microseconds(),
-			AnalysisUs:   a.AnalysisTime.Microseconds(),
-			CollectionUs: a.CollectionTime.Microseconds(),
-			TotalUs:      a.Total().Microseconds(),
-		},
-		TableBytes: a.TableBytes,
-		Engine:     engineReport(a.EngineStats),
-	}
-	inds := make([]string, 0, len(a.Results))
-	for ind := range a.Results {
-		inds = append(inds, ind)
-	}
-	sort.Strings(inds)
-	for _, ind := range inds {
-		r := a.Results[ind]
+	resp := fromReport(KindDepthK, &a.Report)
+	resp.K = a.K
+	for _, r := range analysis.Sorted(a.Results) {
 		resp.Predicates = append(resp.Predicates, PredReport{
 			Indicator:  r.Indicator,
 			Arity:      r.Arity,
 			GroundArgs: r.GroundArgs,
 			Patterns:   canonicalPatterns(r.Answers),
-			Reachable:  true,
+			Reachable:  r.Reachable,
 		})
 	}
 	return resp

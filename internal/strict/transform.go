@@ -10,7 +10,6 @@ package strict
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"xlp/internal/fl"
 	"xlp/internal/term"
@@ -120,7 +119,7 @@ func Transform(p *fl.Program) (*Transformed, error) {
 	// Constructor relations: sp_c (demand flow through construction) and
 	// pm_c (demand flow through pattern matching).
 	for _, ind := range p.SortedConstructors() {
-		name, arity := splitInd(ind)
+		name, arity := term.SplitIndicator(ind)
 		tr.constructorRelations(name, arity)
 	}
 	// The primitive-operator relations.
@@ -156,13 +155,6 @@ func Transform(p *fl.Program) (*Transformed, error) {
 		tr.Clauses = append(tr.Clauses, term.NewCompound(sp, args...))
 	}
 	return tr, nil
-}
-
-func splitInd(ind string) (string, int) {
-	i := strings.LastIndexByte(ind, '/')
-	var n int
-	fmt.Sscanf(ind[i+1:], "%d", &n)
-	return ind[:i], n
 }
 
 func (tr *Transformed) addSrc(src string) {

@@ -108,6 +108,32 @@ func Indicator(t Term) (string, bool) {
 	return "", false
 }
 
+// SplitIndicator splits an indicator "name/arity" into its parts. The
+// arity is -1, and the name the whole string, when ind has no
+// "/arity" suffix (a bare name).
+func SplitIndicator(ind string) (string, int) {
+	i := strings.LastIndexByte(ind, '/')
+	if i < 0 {
+		return ind, -1
+	}
+	n, err := strconv.Atoi(ind[i+1:])
+	if err != nil || n < 0 {
+		return ind, -1
+	}
+	return ind[:i], n
+}
+
+// OpenCall builds the most general call name(V1, ..., Vn) of an
+// indicator "name/n".
+func OpenCall(ind string) Term {
+	name, arity := SplitIndicator(ind)
+	args := make([]Term, max(arity, 0))
+	for i := range args {
+		args[i] = NewVar("V")
+	}
+	return NewCompound(name, args...)
+}
+
 // FunctorArity splits a callable term into functor name and arguments.
 func FunctorArity(t Term) (string, []Term, bool) {
 	switch t := Deref(t).(type) {

@@ -33,6 +33,7 @@ package xlp
 import (
 	"context"
 
+	"xlp/internal/analysis"
 	"xlp/internal/bddprop"
 	"xlp/internal/bottomup"
 	"xlp/internal/depthk"
@@ -82,6 +83,11 @@ var (
 )
 
 // Groundness analysis (Prop domain, §3.1).
+//
+// The three tabled analyses run on one pipeline (internal/analysis):
+// GroundnessOptions, StrictnessOptions and DepthKOptions are one type,
+// and each analysis embeds the same report of phase times, table space
+// and engine counters, with Total and Explain.
 type (
 	// GroundnessOptions configure AnalyzeGroundness.
 	GroundnessOptions = prop.Options
@@ -98,12 +104,9 @@ func AnalyzeGroundness(src string, opts GroundnessOptions) (*GroundnessAnalysis,
 	return prop.Analyze(src, opts)
 }
 
-// AnalyzeGroundnessCtx is AnalyzeGroundness under a context: once ctx
-// ends the run fails with ErrCanceled or ErrDeadline.
-func AnalyzeGroundnessCtx(ctx context.Context, src string, opts GroundnessOptions) (*GroundnessAnalysis, error) {
-	opts.Ctx = ctx
-	return prop.Analyze(src, opts)
-}
+// Sorted returns an analysis' per-predicate (or per-function) results
+// in indicator order: Sorted(a.Results).
+func Sorted[V any](results map[string]V) []V { return analysis.Sorted(results) }
 
 // AnalyzeGroundnessGAIA runs the special-purpose abstract interpreter
 // (the paper's Table 2 comparator). Results are identical to
@@ -153,13 +156,6 @@ func AnalyzeStrictness(src string, opts StrictnessOptions) (*StrictnessAnalysis,
 	return strict.Analyze(src, opts)
 }
 
-// AnalyzeStrictnessCtx is AnalyzeStrictness under a context: once ctx
-// ends the run fails with ErrCanceled or ErrDeadline.
-func AnalyzeStrictnessCtx(ctx context.Context, src string, opts StrictnessOptions) (*StrictnessAnalysis, error) {
-	opts.Ctx = ctx
-	return strict.Analyze(src, opts)
-}
-
 // Depth-k groundness analysis (§5).
 type (
 	// DepthKOptions configure AnalyzeDepthK.
@@ -170,13 +166,6 @@ type (
 
 // AnalyzeDepthK runs groundness analysis with term-depth abstraction.
 func AnalyzeDepthK(src string, opts DepthKOptions) (*DepthKAnalysis, error) {
-	return depthk.Analyze(src, opts)
-}
-
-// AnalyzeDepthKCtx is AnalyzeDepthK under a context: once ctx ends the
-// run fails with ErrCanceled or ErrDeadline.
-func AnalyzeDepthKCtx(ctx context.Context, src string, opts DepthKOptions) (*DepthKAnalysis, error) {
-	opts.Ctx = ctx
 	return depthk.Analyze(src, opts)
 }
 
