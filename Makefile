@@ -52,16 +52,15 @@ bench-difftest:
 	$(GO) test -run '^$$' -bench 'BenchmarkRandGen|BenchmarkDiffTest' -benchtime 2s -benchmem .
 
 # Bench-regression gates: BenchmarkSolveCorpus (full-corpus sweep under
-# both table representations and both clause backends) against the
-# baseline in BENCH_engine.json, the provenance-off press1 run against
-# the provenance section of BENCH_obs.json (the recorder must cost
-# nothing when disabled), the service's warm-hit and admission-shed
-# paths against BENCH_service.json (shedding must stay cheaper than
-# serving a cache hit), and the /v1/batch corpus sweep (GOMAXPROCS
-# workers must beat one worker). Fails on a regression past each gate's
-# band, if trie tables lose their >=20% allocation win, or if the
-# closure backend stops beating the interpreter. XLP_BENCH_WRITE=1
-# refreshes the baselines.
+# both clause backends) against the baseline in BENCH_engine.json, the
+# provenance-off press1 run against the provenance section of
+# BENCH_obs.json (the recorder must cost nothing when disabled), the
+# service's warm-hit and admission-shed paths against
+# BENCH_service.json (shedding must stay cheaper than serving a cache
+# hit), and the /v1/batch corpus sweep (GOMAXPROCS workers must beat
+# one worker). Fails on a regression past each gate's
+# band or if the closure backend stops beating the interpreter.
+# XLP_BENCH_WRITE=1 refreshes the baselines.
 bench-check:
 	XLP_BENCH_CHECK=1 $(GO) test -count=1 -run '^TestBenchRegressionGate$$|^TestProvenanceBenchGate$$|^TestServiceBenchGate$$|^TestBatchScalingGate$$' -v .
 

@@ -93,7 +93,7 @@ func BenchmarkTable4DepthK(b *testing.B) {
 		}
 		b.Run(p.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a, err := depthk.Analyze(p.Source, depthk.Options{K: 1, NoSupplementary: true})
+				a, err := depthk.Analyze(p.Source, depthk.Options{K: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

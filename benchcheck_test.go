@@ -1,16 +1,14 @@
-// Bench-regression gate for the engine's table representations and
-// clause backends.
+// Bench-regression gate for the engine's clause backends.
 //
 // BenchmarkSolveCorpus drives the whole benchmark corpus (Table 1
 // groundness over the 12 logic programs, Table 3 strictness over the 10
-// functional programs) through each configuration — trie tables with the
-// interpreter, string-map tables with the interpreter, and trie tables
-// with the closure-compiled clause backend; one op is one full corpus
-// sweep. TestBenchRegressionGate re-runs the same workload under
-// testing.Benchmark and compares it against the committed baseline in
-// BENCH_engine.json, failing on a >15% regression in time or
-// allocations, and holding the headline wins: trie tables must allocate
-// at least 20% less than the string-map sweep, and the closure backend
+// functional programs) through each clause backend — the interpreter
+// (keyed "trie" in BENCH_engine.json, after the table representation it
+// was first measured against) and the closure compiler; one op is one
+// full corpus sweep. TestBenchRegressionGate re-runs the same workload
+// under testing.Benchmark and compares it against the committed
+// baseline in BENCH_engine.json, failing on a >15% regression in time
+// or allocations, and holding the headline win: the closure backend
 // must beat the interpreted sweep on wall time.
 //
 // The gate is opt-in (it costs several benchmark seconds):
@@ -39,19 +37,17 @@ import (
 	"xlp/internal/strict"
 )
 
-// benchConfig is one gated engine configuration: a table representation
-// plus a clause backend. Names key the entries in BENCH_engine.json.
+// benchConfig is one gated clause backend. Names key the entries in
+// BENCH_engine.json.
 type benchConfig struct {
-	name   string
-	tables engine.TablesImpl
-	mode   engine.LoadMode
+	name string
+	mode engine.LoadMode
 }
 
 func benchConfigs() []benchConfig {
 	return []benchConfig{
-		{"trie", engine.TablesTrie, engine.LoadDynamic},
-		{"stringmap", engine.TablesStringMap, engine.LoadDynamic},
-		{"closure", engine.TablesTrie, engine.ModeClosure},
+		{"trie", engine.LoadDynamic},
+		{"closure", engine.ModeClosure},
 	}
 }
 
@@ -59,12 +55,12 @@ func benchConfigs() []benchConfig {
 // the tabled engine under the given configuration.
 func solveCorpus(tb testing.TB, cfg benchConfig) {
 	for _, p := range corpus.LogicPrograms() {
-		if _, err := prop.Analyze(p.Source, prop.Options{Tables: cfg.tables, Mode: cfg.mode}); err != nil {
+		if _, err := prop.Analyze(p.Source, prop.Options{Mode: cfg.mode}); err != nil {
 			tb.Fatalf("%s: %v", p.Name, err)
 		}
 	}
 	for _, p := range corpus.FuncPrograms() {
-		if _, err := strict.Analyze(p.Source, strict.Options{Tables: cfg.tables, Mode: cfg.mode}); err != nil {
+		if _, err := strict.Analyze(p.Source, strict.Options{Mode: cfg.mode}); err != nil {
 			tb.Fatalf("%s: %v", p.Name, err)
 		}
 	}
@@ -101,11 +97,6 @@ const benchBaselineFile = "BENCH_engine.json"
 // ratio fails the gate. Allocation counts are near-deterministic; the
 // same band on ns/op absorbs scheduler noise on a multi-second workload.
 const benchTolerance = 1.15
-
-// trieAllocsTarget is the acceptance bar on the representation itself:
-// the trie sweep must allocate at most this fraction of the string-map
-// sweep (a >=20% reduction).
-const trieAllocsTarget = 0.80
 
 // obsBaselineFile holds the observability-layer overhead baselines:
 // the tracing-hook numbers at the top level (historical layout) and the
@@ -611,16 +602,10 @@ func TestBenchRegressionGate(t *testing.T) {
 		measured[cfg.name] = best
 	}
 
-	trie, smap := measured["trie"], measured["stringmap"]
-	if ratio := float64(trie.AllocsPerOp()) / float64(smap.AllocsPerOp()); ratio > trieAllocsTarget {
-		t.Errorf("trie tables allocate %.0f%% of the string-map sweep, want <= %.0f%% (trie %d, stringmap %d allocs/op)",
-			ratio*100, trieAllocsTarget*100, trie.AllocsPerOp(), smap.AllocsPerOp())
-	}
-
 	// The closure backend's acceptance bar: compiling clauses to Go
 	// closures (including compile time, paid once per machine) must beat
-	// interpreting them over the same trie-table sweep.
-	closure := measured["closure"]
+	// interpreting them over the same sweep.
+	trie, closure := measured["trie"], measured["closure"]
 	if closure.NsPerOp() >= trie.NsPerOp() {
 		t.Errorf("closure backend is not faster than the interpreter: closure %d ns/op vs interpreted %d ns/op",
 			closure.NsPerOp(), trie.NsPerOp())
@@ -633,7 +618,7 @@ func TestBenchRegressionGate(t *testing.T) {
 		base := benchBaseline{
 			Benchmark: "BenchmarkSolveCorpus",
 			Date:      time.Now().Format("2006-01-02"),
-			Workload:  "one op = full corpus sweep: prop groundness over the 12 logic programs + strict strictness over the 10 functional programs, per engine configuration (tables x clause backend)",
+			Workload:  "one op = full corpus sweep: prop groundness over the 12 logic programs + strict strictness over the 10 functional programs, per clause backend (trie = the interpreter, closure = the closure compiler)",
 			Results:   map[string]benchEntry{},
 		}
 		for name, r := range measured {

@@ -47,7 +47,7 @@ func newAnalyzeFlags(name string, withK bool) *analyzeFlags {
 	af.fs.BoolVar(&af.phases, "phases", false, "print the phase-timing table (parse/transform/load/solve/collect)")
 	af.fs.StringVar(&af.trace, "trace", "", "write a Chrome trace_event file (open in chrome://tracing)")
 	af.fs.StringVar(&af.events, "events", "", "write engine events as JSONL")
-	af.fs.IntVar(&af.top, "top", 0, "print the n largest tables by canonical bytes")
+	af.fs.IntVar(&af.top, "top", 0, "print the n predicates with the largest tables by table bytes")
 	return af
 }
 

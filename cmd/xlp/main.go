@@ -25,8 +25,8 @@
 // -json prints the analysis-service response (the schema xlpd returns),
 // -phases prints the parse/transform/load/solve/collect wall-time table,
 // -trace writes a Chrome trace_event file (chrome://tracing), -events
-// writes the engine event stream as JSONL, and -top prints the largest
-// call tables by canonical bytes.
+// writes the engine event stream as JSONL, and -top prints the
+// predicates with the largest call and answer tables by table bytes.
 //
 // lint exits 0 when every file is clean (warnings allowed), 1 when any
 // file has error-severity diagnostics, 2 on usage or I/O errors.

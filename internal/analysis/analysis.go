@@ -29,10 +29,6 @@ type Options struct {
 	// Mode selects dynamic loading (the paper's recommended assert-based
 	// path) or closure compilation (§4's comparison point).
 	Mode engine.LoadMode
-	// Tables selects the engine's table representation: trie-indexed
-	// (default) or the canonical-string maps kept for differential
-	// testing (engine.TablesStringMap).
-	Tables engine.TablesImpl
 	// Limits are passed to the engine.
 	Limits engine.Limits
 	// Entry makes the run goal-directed: only the entry predicates (or
@@ -64,8 +60,8 @@ type Options struct {
 	Provenance bool
 
 	// NoSupplementary disables supplementary tabling of long clause
-	// bodies (internal/supptab, §4.2); strict and depthk read it. Used
-	// for the ablation benchmark; leave false for production runs.
+	// bodies (internal/supptab, §4.2); only strict reads it, for the
+	// Table 8 ablation. Leave false for production runs.
 	NoSupplementary bool
 	// K is depthk's term-depth bound (default 2).
 	K int
@@ -81,7 +77,7 @@ type Report struct {
 	AnalysisTime   time.Duration // tabled evaluation ("Analysis")
 	CollectionTime time.Duration // result extraction ("Collection")
 	TableBytes     int           // "Table space (bytes)"
-	TableNodes     int           // trie nodes backing the tables (0 under string maps)
+	TableNodes     int           // trie nodes backing the tables
 	EngineStats    engine.Stats
 	Timeline       *obs.Timeline // phase spans, when requested via Options
 
@@ -210,7 +206,6 @@ func Run(src string, opts Options, dom Domain) (Report, error) {
 	tl.Start("load")
 	m := engine.New()
 	m.Mode = opts.Mode
-	m.Tables = opts.Tables
 	m.Limits = opts.Limits
 	m.Provenance = opts.Provenance
 	m.SetContext(opts.Ctx)

@@ -18,7 +18,6 @@ import (
 	"xlp/internal/engine"
 	"xlp/internal/lint"
 	"xlp/internal/prolog"
-	"xlp/internal/supptab"
 	"xlp/internal/term"
 )
 
@@ -415,8 +414,7 @@ func builtinAbstraction(f string, args []term.Term) ([]term.Term, bool) {
 // ---------------------------------------------------------------------------
 // Domain
 
-// Options configure a depth-k analysis run; depthk also reads K and
-// NoSupplementary.
+// Options configure a depth-k analysis run; depthk also reads K.
 type Options = analysis.Options
 
 // PredResult is the result for one predicate.
@@ -506,11 +504,6 @@ func (d *domain) Load(m *engine.Machine) error {
 		if !ok || len(args) == 0 {
 			return ans
 		}
-		if !strings.HasPrefix(name, Prefix) {
-			// Auxiliary (supplementary) tables carry intra-clause
-			// tuples whose variable sharing must be preserved.
-			return ans
-		}
 		cut := make([]term.Term, len(args))
 		for i, a := range args {
 			// Linearizing (each variable occurrence becomes a fresh
@@ -534,7 +527,7 @@ func (d *domain) Load(m *engine.Machine) error {
 	if len(d.opts.Entry) > 0 {
 		m.CallAbstraction = func(call term.Term) term.Term {
 			name, args, ok := term.FunctorArity(call)
-			if !ok || len(args) == 0 || !strings.HasPrefix(name, Prefix) {
+			if !ok || len(args) == 0 {
 				return call
 			}
 			fresh := make([]term.Term, len(args))
@@ -544,23 +537,13 @@ func (d *domain) Load(m *engine.Machine) error {
 			return term.NewCompound(name, fresh...)
 		}
 	}
-	absClauses := d.tf.Clauses
-	var extraTabled []string
-	if !d.opts.NoSupplementary {
-		st := supptab.Transform(absClauses, 4)
-		absClauses = st.Clauses
-		extraTabled = st.Tabled
-	}
-	if err := m.ConsultTerms(absClauses); err != nil {
+	if err := m.ConsultTerms(d.tf.Clauses); err != nil {
 		return err
 	}
 	for _, abs := range d.tf.Preds {
 		m.Table(abs)
 	}
-	for _, abs := range d.tf.Called {
-		m.Table(abs)
-	}
-	m.Table(extraTabled...)
+	m.Table(d.tf.Called...)
 	return nil
 }
 
@@ -568,7 +551,7 @@ func (d *domain) Load(m *engine.Machine) error {
 // a fixpoint and do not depend on it, but the evaluation trajectory
 // (resolution and producer-pass counts) does; a map-order walk here made
 // those counters differ from run to run on the same input, which the
-// tables_trie_vs_stringmap oracle compares exactly.
+// engine-counter goldens compare exactly.
 func (d *domain) Goals(entries []analysis.Entry) []analysis.Goal {
 	var goals []analysis.Goal
 	for _, ind := range analysis.Indicators(entries) {

@@ -76,7 +76,6 @@ func Checks() []Check {
 		{Name: "strict-alpha", Lang: randgen.LangFL, Run: strictAlpha},
 		{Name: "strict-predrename", Lang: randgen.LangFL, Run: strictPredRename},
 		{Name: "strict-eqreorder", Lang: randgen.LangFL, Run: strictEqReorder},
-		{Name: "tables_trie_vs_stringmap", AnyLang: true, Run: tablesTrieVsStringmap},
 		{Name: "provenance_sound", AnyLang: true, Run: provenanceSound},
 		{Name: "store_roundtrip", AnyLang: true, Run: storeRoundtrip},
 	}
@@ -494,12 +493,10 @@ func strictPredRename(m Meta, src string) error {
 	return diffSummaries("base", "renamed", base, ren, false)
 }
 
-// diffEngineStats compares the evaluation-trajectory counters two table
-// representations must share: the call pattern (subgoals entered),
-// answer counts, and the iteration counts of the producer/consumer
-// fixpoint. Table-space counters (TableBytes and friends) are excluded
-// by construction — they are the one thing the impls legitimately
-// differ on.
+// diffEngineStats compares the engine counters two runs of one analysis
+// must share when only an observer differs between them: the call
+// pattern (subgoals entered), answer counts, the iteration counts of
+// the producer/consumer fixpoint and the table space.
 func diffEngineStats(aName, bName string, a, b engine.Stats) error {
 	type cmp struct {
 		name string
@@ -513,70 +510,14 @@ func diffEngineStats(aName, bName string, a, b engine.Stats) error {
 		{"producer_passes", a.ProducerPasses, b.ProducerPasses},
 		{"suspensions", a.Suspensions, b.Suspensions},
 		{"resumptions", a.Resumptions, b.Resumptions},
+		{"table_bytes", a.TableBytes, b.TableBytes},
+		{"table_nodes", a.TableNodes, b.TableNodes},
 	} {
 		if c.a != c.b {
 			return fmt.Errorf("mismatch: %s: %s=%d %s=%d", c.name, aName, c.a, bName, c.b)
 		}
 	}
 	return nil
-}
-
-// tablesTrieVsStringmap: the trie-indexed tables and the
-// canonical-string-map tables are two representations of the same
-// variant-based call/answer store, so every analysis result and every
-// evaluation counter (except table space itself) must coincide exactly.
-// Runs on every shape: Prolog shapes through the groundness analyzer,
-// FL shapes through the strictness analyzer.
-func tablesTrieVsStringmap(m Meta, src string) error {
-	if m.Shape.Lang() == randgen.LangFL {
-		trie, err := strict.Analyze(src, strict.Options{Tables: engine.TablesTrie})
-		if err != nil {
-			return fmt.Errorf("error: strict trie: %w", err)
-		}
-		smap, err := strict.Analyze(src, strict.Options{Tables: engine.TablesStringMap})
-		if err != nil {
-			return fmt.Errorf("error: strict stringmap: %w", err)
-		}
-		if err := diffSummaries("trie", "stringmap", strictSummary(trie, nil), strictSummary(smap, nil), false); err != nil {
-			return err
-		}
-		return diffEngineStats("trie", "stringmap", trie.EngineStats, smap.EngineStats)
-	}
-	trie, err := prop.Analyze(src, prop.Options{Tables: engine.TablesTrie})
-	if err != nil {
-		return fmt.Errorf("error: prop trie: %w", err)
-	}
-	smap, err := prop.Analyze(src, prop.Options{Tables: engine.TablesStringMap})
-	if err != nil {
-		return fmt.Errorf("error: prop stringmap: %w", err)
-	}
-	if err := diffSummaries("trie", "stringmap", propSummary(trie, nil), propSummary(smap, nil), false); err != nil {
-		return err
-	}
-	if err := diffEngineStats("trie", "stringmap", trie.EngineStats, smap.EngineStats); err != nil {
-		return err
-	}
-	// Depth-k exercises deep-term keys (depth-cut structures with γ) the
-	// groundness domain never builds; run it on the same program. Gated
-	// to generated programs (corpus callers pass an empty Preds list):
-	// exhaustive depth-2 analysis of the benchmark corpus is orders of
-	// magnitude beyond an oracle's budget, and the corpus is already
-	// covered by the groundness run above.
-	if len(m.Preds) == 0 {
-		return nil
-	}
-	dkTrie, err := depthk.Analyze(src, depthk.Options{K: depthkK, Tables: engine.TablesTrie})
-	if err != nil {
-		return fmt.Errorf("error: depthk trie: %w", err)
-	}
-	dkSmap, err := depthk.Analyze(src, depthk.Options{K: depthkK, Tables: engine.TablesStringMap})
-	if err != nil {
-		return fmt.Errorf("error: depthk stringmap: %w", err)
-	}
-	if err := diffSummaries("trie", "stringmap", depthkSummary(dkTrie, nil), depthkSummary(dkSmap, nil), false); err != nil {
-		return err
-	}
-	return diffEngineStats("trie", "stringmap", dkTrie.EngineStats, dkSmap.EngineStats)
 }
 
 // provenanceSound: the justification recorder must be a pure observer —

@@ -43,34 +43,6 @@ func TestSweepAllShapes(t *testing.T) {
 	}
 }
 
-// TestTablesImplCorpusSweep runs the full benchmark corpus — every
-// Table 1 logic program and every Table 3 functional program — through
-// the tables_trie_vs_stringmap oracle: the two table representations
-// must produce identical analysis results and identical evaluation
-// counters on real programs, not just generated ones.
-func TestTablesImplCorpusSweep(t *testing.T) {
-	c, ok := CheckByName("tables_trie_vs_stringmap")
-	if !ok {
-		t.Fatal("tables_trie_vs_stringmap not registered")
-	}
-	for _, p := range corpus.LogicPrograms() {
-		p := p
-		t.Run("prolog/"+p.Name, func(t *testing.T) {
-			if err := c.Run(Meta{Shape: randgen.Mixed}, p.Source); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	for _, p := range corpus.FuncPrograms() {
-		p := p
-		t.Run("fl/"+p.Name, func(t *testing.T) {
-			if err := c.Run(Meta{Shape: randgen.FLFirstOrder}, p.Source); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-}
-
 // TestModesThreewayCorpusSweep runs the full benchmark corpus through
 // the modes_threeway oracle: the interpreter and the closure compiler
 // must produce identical analysis results (answers and recorded calls)

@@ -104,13 +104,12 @@ type Stats struct {
 	Suspensions    int // consumer records saved at incomplete tables
 	Resumptions    int // answers delivered to saved consumer records
 	// TableBytes is the paper's "table space" measure and always equals
-	// CallBytes + AnswerBytes. Under TablesStringMap it counts canonical
-	// key bytes; under TablesTrie it counts allocated trie nodes at
+	// CallBytes + AnswerBytes. It counts allocated trie nodes at
 	// term.TrieNodeBytes each, the real storage of both tables.
 	TableBytes  int
 	CallBytes   int // table space charged to call-table keys
 	AnswerBytes int // table space charged to answer-table keys
-	TableNodes  int // trie nodes allocated (0 under TablesStringMap)
+	TableNodes  int // trie nodes allocated
 
 	// ProvenanceBytes is the space charged to justification records
 	// (Machine.Provenance): justRecordBytes per recorded answer plus
@@ -176,32 +175,6 @@ type Pred struct {
 // "stop" result; it must leave the trail balanced for failed attempts.
 type Builtin func(m *Machine, args []term.Term, k func() bool) bool
 
-// TablesImpl selects the data structure backing the call and answer
-// tables (see table.go).
-type TablesImpl int
-
-const (
-	// TablesTrie (the default) keys tables by XSB-style term tries over
-	// interned symbols: subgoal lookup and answer dedup are a single
-	// term walk with no intermediate canonical string, terms sharing a
-	// prefix share trie nodes, and an answer's trie path is its only
-	// copy.
-	TablesTrie TablesImpl = iota
-	// TablesStringMap keys tables by term.Canonical strings in Go maps
-	// and keeps a detached copy of each answer — the original
-	// implementation, kept for differential testing (difftest's
-	// tables_trie_vs_stringmap oracle) and as the reference point of
-	// the table-space comparison in EXPERIMENTS.md.
-	TablesStringMap
-)
-
-func (t TablesImpl) String() string {
-	if t == TablesStringMap {
-		return "stringmap"
-	}
-	return "trie"
-}
-
 // TrieNodeBytes is the per-node charge of the trie representation's
 // table-space accounting (re-exported from internal/term so stats
 // consumers need not import the term package for it).
@@ -211,10 +184,6 @@ const TrieNodeBytes = term.TrieNodeBytes
 type Machine struct {
 	Mode   LoadMode
 	Limits Limits
-	// Tables selects the table representation (default TablesTrie). Set
-	// it before the first query; changing it between queries without
-	// ResetTables has no effect on already-built tables.
-	Tables TablesImpl
 	// Provenance enables justification recording (see provenance.go):
 	// every distinct tabled answer records its producing clause and the
 	// tabled premise answers consumed, retrievable via Justification and
@@ -246,11 +215,9 @@ type Machine struct {
 	builtins map[pkey]Builtin
 	trail    term.Trail
 
-	// Call-table index: exactly one of tables (TablesStringMap) and
-	// callTrie (TablesTrie) is live, chosen lazily from m.Tables at the
-	// first tabled call. subgoals lists every entry in creation order
-	// for iteration under either index.
-	tables   map[string]*subgoal
+	// Call table: callTrie indexes the entries by variant class (an
+	// XSB-style term trie over interned symbols, created at the first
+	// tabled call) and subgoals lists them in creation order.
 	callTrie *term.Trie
 	symCache *term.SymCache // intern memo shared by tries and closure code
 	subgoals []*subgoal
@@ -313,7 +280,6 @@ func (m *Machine) SetTracer(t obs.EngineTracer) { m.tracer = t }
 // ResetTables discards all tabled calls and answers (keeping the
 // program), so a fresh query re-derives everything.
 func (m *Machine) ResetTables() {
-	m.tables = nil
 	m.callTrie = nil
 	m.subgoals = nil
 	m.stack = nil

@@ -18,11 +18,10 @@ path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `
 
-func provMachine(t *testing.T, mode LoadMode, tables TablesImpl) *Machine {
+func provMachine(t *testing.T, mode LoadMode) *Machine {
 	t.Helper()
 	m := New()
 	m.Mode = mode
-	m.Tables = tables
 	m.Provenance = true
 	if err := m.Consult(provProg); err != nil {
 		t.Fatal(err)
@@ -32,43 +31,41 @@ func provMachine(t *testing.T, mode LoadMode, tables TablesImpl) *Machine {
 
 func TestProvenanceRecordsEveryAnswer(t *testing.T) {
 	for _, mode := range []LoadMode{LoadDynamic, ModeClosure} {
-		for _, tables := range []TablesImpl{TablesTrie, TablesStringMap} {
-			m := provMachine(t, mode, tables)
-			sols := q(t, m, "path(a, X)")
-			if len(sols) != 3 {
-				t.Fatalf("mode=%v tables=%v: path(a,X) = %v", mode, tables, sols)
+		m := provMachine(t, mode)
+		sols := q(t, m, "path(a, X)")
+		if len(sols) != 3 {
+			t.Fatalf("mode=%v: path(a,X) = %v", mode, sols)
+		}
+		checked := 0
+		for si, sg := range m.subgoals {
+			if len(sg.justs) != sg.numAnswers() {
+				t.Fatalf("mode=%v: %v: %d answers, %d justs",
+					mode, sg.goal, sg.numAnswers(), len(sg.justs))
 			}
-			checked := 0
-			for si, sg := range m.subgoals {
-				if len(sg.justs) != sg.numAnswers() {
-					t.Fatalf("mode=%v tables=%v: %v: %d answers, %d justs",
-						mode, tables, sg.goal, sg.numAnswers(), len(sg.justs))
+			for ai := range sg.numAnswers() {
+				j, ok := m.Justification(AnswerRef{Subgoal: si, Answer: ai})
+				if !ok {
+					t.Fatalf("no justification for s%da%d", si, ai)
 				}
-				for ai := range sg.numAnswers() {
-					j, ok := m.Justification(AnswerRef{Subgoal: si, Answer: ai})
-					if !ok {
-						t.Fatalf("no justification for s%da%d", si, ai)
-					}
-					if j.ClauseNth < 0 || j.ClauseNth >= len(sg.pred.Clauses) {
-						t.Fatalf("clause index %d out of range for %s", j.ClauseNth, sg.pred.Indicator)
-					}
-					if !j.Pos.IsValid() {
-						t.Fatalf("consulted clause lost its position: %+v", j)
-					}
-					for _, p := range j.Premises {
-						if _, ok := m.AnswerAt(p); !ok {
-							t.Fatalf("dangling premise %+v in s%da%d", p, si, ai)
-						}
-					}
-					checked++
+				if j.ClauseNth < 0 || j.ClauseNth >= len(sg.pred.Clauses) {
+					t.Fatalf("clause index %d out of range for %s", j.ClauseNth, sg.pred.Indicator)
 				}
+				if !j.Pos.IsValid() {
+					t.Fatalf("consulted clause lost its position: %+v", j)
+				}
+				for _, p := range j.Premises {
+					if _, ok := m.AnswerAt(p); !ok {
+						t.Fatalf("dangling premise %+v in s%da%d", p, si, ai)
+					}
+				}
+				checked++
 			}
-			if checked == 0 {
-				t.Fatalf("mode=%v tables=%v: no answers recorded", mode, tables)
-			}
-			if m.Stats().ProvenanceBytes == 0 {
-				t.Fatalf("mode=%v tables=%v: ProvenanceBytes not charged", mode, tables)
-			}
+		}
+		if checked == 0 {
+			t.Fatalf("mode=%v: no answers recorded", mode)
+		}
+		if m.Stats().ProvenanceBytes == 0 {
+			t.Fatalf("mode=%v: ProvenanceBytes not charged", mode)
 		}
 	}
 }
@@ -79,7 +76,7 @@ func TestProvenanceRecordsEveryAnswer(t *testing.T) {
 // order. This is the strong form of the difftest provenance_sound
 // oracle, exercised here on a program whose derivations are known.
 func TestProvenancePremisesRecheck(t *testing.T) {
-	m := provMachine(t, LoadDynamic, TablesTrie)
+	m := provMachine(t, LoadDynamic)
 	q(t, m, "path(a, X)")
 	for si, sg := range m.subgoals {
 		for ai := range sg.numAnswers() {

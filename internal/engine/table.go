@@ -25,19 +25,17 @@ import (
 // with the answers past their cursors until none is behind, then
 // completes the whole region and frees its consumer records.
 type subgoal struct {
-	key  string    // canonical call key (TablesStringMap only)
+	key  string    // canonical call key, memoized by callKey
 	goal term.Term // detached copy of the call
 	pred *Pred
 	idx  int // creation index in m.subgoals; first half of an AnswerRef
 
 	// Answer table, insertion order; AnswerRef.Answer and consumer
-	// cursors index it. Under TablesTrie an answer is stored once, as
-	// the path to its leaf in ansTrie: leaves[i] is answer i, and the
-	// trie is also the variant-check index. TablesStringMap keeps the
-	// reference store instead (str).
+	// cursors index it. An answer is stored once, as the path to its
+	// leaf in ansTrie: leaves[i] is answer i, and the trie is also the
+	// variant-check index.
 	ansTrie *term.Trie
 	leaves  []*term.TrieNode
-	str     *stringAnswers
 	// justs holds one justification per answer, index-aligned with the
 	// answer table; nil unless the machine records provenance.
 	justs []*Just
@@ -54,37 +52,13 @@ type subgoal struct {
 	consumers []*consumer
 }
 
-// stringAnswers is the TablesStringMap answer table: canonical keys for
-// the variant check and a detached copy of each answer. It is the
-// reference that the trie store is checked against (the difftest
-// tables_trie_vs_stringmap oracle).
-type stringAnswers struct {
-	keys  map[string]struct{}
-	terms []term.Term // detached instances of the call, insertion order
-	gnd   []bool      // per answer: ground, so it is used without renaming
-}
-
 // numAnswers reports how many answers sg's table holds.
-func (sg *subgoal) numAnswers() int {
-	if sg.ansTrie != nil {
-		return len(sg.leaves)
-	}
-	return len(sg.str.terms)
-}
+func (sg *subgoal) numAnswers() int { return len(sg.leaves) }
 
 // answer returns answer i of sg's table with fresh variables. It is the
 // one accessor through which dumps, provenance and abstract unification
 // read answers.
-func (sg *subgoal) answer(i int) term.Term {
-	if sg.ansTrie != nil {
-		return sg.ansTrie.Term(sg.leaves[i])
-	}
-	a := sg.str.terms[i]
-	if !sg.str.gnd[i] {
-		a = term.Rename(a, nil)
-	}
-	return a
-}
+func (sg *subgoal) answer(i int) term.Term { return sg.ansTrie.Term(sg.leaves[i]) }
 
 // consumer is a suspended derivation: a tabled call that reached an
 // incomplete table, saved so the SCC leader can feed it the answers the
@@ -165,17 +139,14 @@ func (m *Machine) consume(sg *subgoal, goal term.Term, from int, k func() bool) 
 	return sg.numAnswers(), false
 }
 
-// unifyAnswer unifies goal with answer i of sg. Trie answers unify
-// against their leaf's path, building only what binds goal variables.
-// Abstract unification (depth-k) takes the answer as a term.
+// unifyAnswer unifies goal with answer i of sg against its leaf's path,
+// building only what binds goal variables. Abstract unification
+// (depth-k) takes the answer as a term.
 func (m *Machine) unifyAnswer(sg *subgoal, goal term.Term, i int) bool {
-	switch {
-	case m.AbstractUnify != nil:
+	if m.AbstractUnify != nil {
 		return m.AbstractUnify(goal, sg.answer(i), &m.trail)
-	case sg.ansTrie != nil:
-		return sg.ansTrie.Unify(goal, sg.leaves[i], &m.trail)
 	}
-	return term.Unify(goal, sg.answer(i), &m.trail)
+	return sg.ansTrie.Unify(goal, sg.leaves[i], &m.trail)
 }
 
 // suspend saves the current derivation as a consumer of sg that has
@@ -239,56 +210,31 @@ func (m *Machine) leave(sg *subgoal, saved activation) {
 	m.passMark, sg.provMark, m.noSuspend = saved.passMark, saved.provMark, saved.noSuspend
 }
 
-// useTrie reports whether the machine's tables are trie-indexed.
-func (m *Machine) useTrie() bool { return m.Tables != TablesStringMap }
-
 // lookupOrCreate resolves lookup to its call-table entry, creating one
 // (with the subgoal-limit check and table-space accounting) on first
-// sight of the variant class. Under TablesTrie the lookup is one walk
-// of the term; under TablesStringMap it materializes the canonical key.
+// sight of the variant class. The lookup is one walk of the call trie.
 func (m *Machine) lookupOrCreate(p *Pred, lookup term.Term) (sg *subgoal, created bool) {
-	var charge, nodes int
-	var leaf *term.TrieNode
-	if m.useTrie() {
-		if m.callTrie == nil {
-			m.callTrie = term.NewTrie()
-			m.callTrie.UseSymCache(m.syms())
-		}
-		var newNodes int
-		leaf, newNodes = m.callTrie.Insert(lookup)
-		if v, ok := leaf.Value(); ok {
-			return v.(*subgoal), false
-		}
-		charge, nodes = newNodes*term.TrieNodeBytes, newNodes
-	} else {
-		key := term.Canonical(lookup)
-		if sg, ok := m.tables[key]; ok {
-			return sg, false
-		}
-		charge = len(key)
-		sg = &subgoal{key: key}
+	if m.callTrie == nil {
+		m.callTrie = term.NewTrie()
+		m.callTrie.UseSymCache(m.syms())
+	}
+	leaf, nodes := m.callTrie.Insert(lookup)
+	if v, ok := leaf.Value(); ok {
+		return v.(*subgoal), false
 	}
 	if m.stats.Subgoals >= m.Limits.maxSubgoals() {
 		m.throwErr(fmt.Errorf("%w (%d)", ErrSubgoalLimit, m.Limits.maxSubgoals()))
 	}
-	if sg == nil {
-		sg = &subgoal{}
+	sg = &subgoal{
+		goal:    term.Rename(lookup, nil), // Rename follows bindings
+		pred:    p,
+		idx:     len(m.subgoals),
+		ansTrie: term.NewTrie(),
 	}
-	sg.goal = term.Rename(lookup, nil) // Rename follows bindings
-	sg.pred = p
-	sg.idx = len(m.subgoals)
-	if m.useTrie() {
-		sg.ansTrie = term.NewTrie()
-		sg.ansTrie.UseSymCache(m.syms())
-		leaf.SetValue(sg)
-	} else {
-		sg.str = &stringAnswers{keys: map[string]struct{}{}}
-		if m.tables == nil {
-			m.tables = map[string]*subgoal{}
-		}
-		m.tables[sg.key] = sg
-	}
+	sg.ansTrie.UseSymCache(m.syms())
+	leaf.SetValue(sg)
 	m.subgoals = append(m.subgoals, sg)
+	charge := nodes * term.TrieNodeBytes
 	m.stats.Subgoals++
 	m.stats.CallBytes += charge
 	m.stats.TableBytes += charge
@@ -416,30 +362,14 @@ func (m *Machine) addAnswer(sg *subgoal, inst term.Term, cl *Clause) {
 		m.steps = 0
 		m.checkCtx()
 	}
-	// Dedup through the table index: a trie walk (allocation-free on the
-	// duplicate path, the hottest case) or a canonical-string map probe.
-	var charge, nodes int
-	var leaf *term.TrieNode
-	var key string
-	if sg.ansTrie != nil {
-		var newNodes int
-		leaf, newNodes = sg.ansTrie.Insert(inst)
-		if _, dup := leaf.Value(); dup {
-			if m.tracer != nil {
-				m.tracer.Emit(obs.EvAnswerDup, sg.pred.Indicator, 0)
-			}
-			return
+	// Dedup through the answer trie: one walk, allocation-free on the
+	// duplicate path (the hottest case).
+	leaf, nodes := sg.ansTrie.Insert(inst)
+	if _, dup := leaf.Value(); dup {
+		if m.tracer != nil {
+			m.tracer.Emit(obs.EvAnswerDup, sg.pred.Indicator, 0)
 		}
-		charge, nodes = newNodes*term.TrieNodeBytes, newNodes
-	} else {
-		key = term.Canonical(inst)
-		if _, dup := sg.str.keys[key]; dup {
-			if m.tracer != nil {
-				m.tracer.Emit(obs.EvAnswerDup, sg.pred.Indicator, 0)
-			}
-			return
-		}
-		charge = len(key)
+		return
 	}
 	if m.stats.Answers >= m.Limits.maxAnswers() {
 		m.throwErr(fmt.Errorf("%w (%d)", ErrAnswerLimit, m.Limits.maxAnswers()))
@@ -449,18 +379,11 @@ func (m *Machine) addAnswer(sg *subgoal, inst term.Term, cl *Clause) {
 		just = m.recordJust(sg, cl)
 		sg.justs = append(sg.justs, just)
 	}
-	if leaf != nil {
-		// The leaf is the answer: the only copy of it, the dedup
-		// presence mark and the justification anchor (nil value with
-		// provenance off).
-		leaf.SetValue(just)
-		sg.leaves = append(sg.leaves, leaf)
-	} else {
-		sg.str.keys[key] = struct{}{}
-		detached := term.Rename(inst, nil) // Rename follows bindings
-		sg.str.terms = append(sg.str.terms, detached)
-		sg.str.gnd = append(sg.str.gnd, term.IsGround(detached))
-	}
+	// The leaf is the answer: the only copy of it, the dedup presence
+	// mark and the justification anchor (nil value with provenance off).
+	leaf.SetValue(just)
+	sg.leaves = append(sg.leaves, leaf)
+	charge := nodes * term.TrieNodeBytes
 	m.stats.Answers++
 	m.stats.AnswerBytes += charge
 	m.stats.TableBytes += charge
@@ -485,10 +408,9 @@ type TableDump struct {
 }
 
 // sortedSubgoals returns the (optionally indicator-filtered) table
-// entries sorted by canonical call key — the historical iteration order
-// of the string-keyed map, preserved under both implementations so
-// collection phases see answers in a stable order. Cold path: dumps run
-// once per analysis, after solving.
+// entries sorted by canonical call key, so collection phases see
+// answers in an order that does not depend on solve order. Cold path:
+// dumps run once per analysis, after solving.
 func (m *Machine) sortedSubgoals(indicator string) []*subgoal {
 	var sgs []*subgoal
 	for _, sg := range m.subgoals {
@@ -502,8 +424,9 @@ func (m *Machine) sortedSubgoals(indicator string) []*subgoal {
 	return sgs
 }
 
-// callKey returns the canonical call key of a table entry, computing it
-// on demand under the trie implementation (which stores no strings).
+// callKey returns the canonical call key of a table entry. The call
+// trie stores no strings, so the key is computed on first use and
+// memoized in sg.key.
 func (m *Machine) callKey(sg *subgoal) string {
 	if sg.key == "" {
 		sg.key = term.Canonical(sg.goal)
@@ -529,8 +452,7 @@ func (m *Machine) DumpTables(indicator string) []TableDump {
 
 // TableSpace returns the table-space measure of the call and answer
 // tables, the analogue of the paper's "Table space (bytes)" column:
-// canonical key bytes under TablesStringMap, allocated trie nodes times
-// term.TrieNodeBytes under TablesTrie. It always equals
+// allocated trie nodes times term.TrieNodeBytes. It always equals
 // CallSpace() + AnswerSpace().
 func (m *Machine) TableSpace() int { return m.stats.TableBytes }
 
@@ -541,7 +463,7 @@ func (m *Machine) CallSpace() int { return m.stats.CallBytes }
 func (m *Machine) AnswerSpace() int { return m.stats.AnswerBytes }
 
 // TableNodes returns the number of trie nodes backing the call and
-// answer tables (0 under TablesStringMap).
+// answer tables.
 func (m *Machine) TableNodes() int { return m.stats.TableNodes }
 
 // DumpTablesString renders all tables for debugging and the cmd/xlp tool.

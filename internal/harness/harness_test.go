@@ -59,7 +59,7 @@ func TestTable3Shape(t *testing.T) {
 func TestTable9Shape(t *testing.T) {
 	tbl, err := Table9()
 	if err != nil {
-		t.Fatal(err) // also fails if the two table impls disagree
+		t.Fatal(err)
 	}
 	if len(tbl.Rows) != 12+10 {
 		t.Fatalf("Table 9 must cover the Table 1 and Table 3 corpora (22 rows), got %d", len(tbl.Rows))

@@ -49,10 +49,10 @@ func counterRow(name string, r *service.Response) string {
 
 // TestEngineCountersGolden pins the engine counters and result hash of
 // every paper workload — Prop groundness and strictness of each corpus
-// program, depth-k (k=1, plain tabling) of Table 4's programs except
-// read — under both clause backends with trie tables. Results are
-// fixpoints, but the counters follow the evaluation order, so a change
-// to how an analyzer builds, orders or solves its goals shows up here.
+// program, depth-k (k=1) of Table 4's programs except read — under
+// both clause backends. Results are fixpoints, but the counters follow
+// the evaluation order, so a change to how an analyzer builds, orders
+// or solves its goals shows up here.
 // Run with -update to rewrite testdata/counters.golden.
 func TestEngineCountersGolden(t *testing.T) {
 	if testing.Short() {
@@ -86,7 +86,7 @@ func TestEngineCountersGolden(t *testing.T) {
 			continue // about 8 s
 		}
 		for _, m := range modes {
-			a, err := depthk.Analyze(p.Source, depthk.Options{K: 1, NoSupplementary: true, Mode: m.mode})
+			a, err := depthk.Analyze(p.Source, depthk.Options{K: 1, Mode: m.mode})
 			if err != nil {
 				t.Fatalf("depthk/%s/%s: %v", p.Name, m.name, err)
 			}

@@ -69,7 +69,7 @@ func TestOneClausePassPerSubgoal(t *testing.T) {
 		}
 		src := p.Source
 		runs = append(runs, run{"depthk/" + p.Name, func(mode engine.LoadMode, tr obs.EngineTracer) (engine.Stats, error) {
-			a, err := depthk.Analyze(src, depthk.Options{K: 1, NoSupplementary: true, Mode: mode, Tracer: tr})
+			a, err := depthk.Analyze(src, depthk.Options{K: 1, Mode: mode, Tracer: tr})
 			if err != nil {
 				return engine.Stats{}, err
 			}

@@ -24,13 +24,13 @@ func liveHeap() uint64 {
 }
 
 // TestTableBytesChargesRealStorage holds Stats.TableBytes to what a
-// solve really leaves on the heap. Under trie tables each answer is
-// stored once, as its trie path, so the heap a solve keeps (tables,
-// subgoal records, leaf lists, spilled edge maps) must stay within a
-// small factor of TableNodes x TrieNodeBytes. A detached copy per
-// answer doubles that factor and fails the test. The machine is loaded
-// as strict.Analyze loads it (supplementary tabling on) and is kept
-// alive across the measurement.
+// solve really leaves on the heap. Each answer is stored once, as its
+// trie path, so the heap a solve keeps (tables, subgoal records, leaf
+// lists, spilled edge maps) must stay within a small factor of
+// TableNodes x TrieNodeBytes. A detached copy per answer doubles that
+// factor and fails the test. The machine is loaded as strict.Analyze
+// loads it (supplementary tabling on) and is kept alive across the
+// measurement.
 func TestTableBytesChargesRealStorage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves the two largest strictness programs")

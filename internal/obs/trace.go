@@ -74,7 +74,7 @@ func (k EventKind) String() string {
 // EngineTracer receives engine evaluation events. Emit is called on the
 // engine's hot paths: implementations must not block and should not
 // allocate per call. pred is the predicate indicator ("p/2"); n is a
-// kind-specific magnitude (canonical bytes for subgoals/answers, an
+// kind-specific magnitude (table bytes charged for subgoals/answers, an
 // attempt count for EvResolutions, 0 otherwise).
 type EngineTracer interface {
 	Emit(kind EventKind, pred string, n int)

@@ -710,7 +710,6 @@ func analysisOptions(ctx context.Context, req *Request, tracer obs.EngineTracer)
 	o := req.canonicalOptions()
 	return analysis.Options{
 		Mode:            o.engineMode(),
-		Tables:          o.engineTables(),
 		Limits:          o.engineLimits(),
 		Entry:           o.Entry,
 		Slice:           req.Options.Slice && req.Kind != KindExplain,
@@ -757,7 +756,6 @@ func executeQuery(ctx context.Context, req *Request, tracer obs.EngineTracer) (*
 	t0 := time.Now()
 	m := engine.New()
 	m.Mode = o.engineMode()
-	m.Tables = o.engineTables()
 	m.Limits = o.engineLimits()
 	m.SetContext(ctx)
 	m.SetTracer(tracer)

@@ -444,6 +444,10 @@ func TestValidation(t *testing.T) {
 		{"query without goal", &Request{Kind: KindQuery, Source: "a."}},
 		{"bad mode", &Request{Kind: KindGroundness, Source: "a.", Options: Options{Mode: "jit"}}},
 		{"negative timeout", &Request{Kind: KindGroundness, Source: "a.", TimeoutMs: -1}},
+		{"stringmap tables", &Request{Kind: KindGroundness, Source: "a.", Options: Options{Tables: "stringmap"}}},
+		{"negative max_depth", &Request{Kind: KindGroundness, Source: "a.", Options: Options{MaxDepth: -1}}},
+		{"negative max_answers", &Request{Kind: KindGroundness, Source: "a.", Options: Options{MaxAnswers: -1}}},
+		{"negative max_subgoals", &Request{Kind: KindGroundness, Source: "a.", Options: Options{MaxSubgoals: -1}}},
 	} {
 		if _, err := s.Do(context.Background(), tc.req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: want ErrBadRequest, got %v", tc.name, err)
@@ -458,6 +462,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	same := []*Request{
 		{Kind: KindGroundness, Source: "a(1).", Options: Options{Mode: "dynamic"}},
 		{Kind: KindGroundness, Source: "a(1).", Options: Options{K: 3, Goal: "zz"}},
+		{Kind: KindGroundness, Source: "a(1).", Options: Options{Tables: "trie"}},
 	}
 	for i, r := range same {
 		if r.CacheKey() != base.CacheKey() {
@@ -480,6 +485,11 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	k2 := &Request{Kind: KindDepthK, Source: "a(1).", Options: Options{K: 2}}
 	if k0.CacheKey() != k2.CacheKey() {
 		t.Error("depthk K=0 and K=2 should share a key")
+	}
+	// depthk has one tabling mode, so no_supplementary cannot split it.
+	nosupp := &Request{Kind: KindDepthK, Source: "a(1).", Options: Options{NoSupplementary: true}}
+	if nosupp.CacheKey() != k0.CacheKey() {
+		t.Error("depthk no_supplementary should share the default key")
 	}
 }
 

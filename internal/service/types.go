@@ -67,9 +67,9 @@ type Options struct {
 	// (clauses compiled to Go closures; same answers, different cost
 	// profile).
 	Mode string `json:"mode,omitempty"`
-	// Tables selects the engine's table representation: "trie" (default)
-	// or "stringmap" (the canonical-string baseline). Answer sets are
-	// identical either way; only table-space accounting differs.
+	// Tables names the engine's table representation. "trie" (the
+	// default) is the only one; the field stays so that the canonical
+	// options, and with them the cache and store keys, keep their shape.
 	Tables string `json:"tables,omitempty"`
 	// Entry lists entry points for goal-directed analysis (groundness,
 	// depthk, strictness, gaia) and lint reachability roots. Each is an
@@ -88,7 +88,7 @@ type Options struct {
 	Lang string `json:"lang,omitempty"`
 	// K is the depth bound for depthk (default 2).
 	K int `json:"k,omitempty"`
-	// NoSupplementary disables supplementary tabling (strictness, depthk).
+	// NoSupplementary disables supplementary tabling (strictness only).
 	NoSupplementary bool `json:"no_supplementary,omitempty"`
 	// Goal is the query goal (kind "query" only).
 	Goal string `json:"goal,omitempty"`
@@ -109,7 +109,8 @@ type Options struct {
 	// Transport-only: it never changes the result and never splits the
 	// cache.
 	Stream bool `json:"stream,omitempty"`
-	// Engine resource limits (0 = engine defaults).
+	// Engine resource limits (0 = engine defaults; negative values are
+	// rejected).
 	MaxDepth    int `json:"max_depth,omitempty"`
 	MaxAnswers  int `json:"max_answers,omitempty"`
 	MaxSubgoals int `json:"max_subgoals,omitempty"`
@@ -143,7 +144,7 @@ func (r *Request) Validate() error {
 		return fmt.Errorf("%w: unknown mode %q", ErrBadRequest, r.Options.Mode)
 	}
 	switch r.Options.Tables {
-	case "", "trie", "stringmap":
+	case "", "trie":
 	default:
 		return fmt.Errorf("%w: unknown tables impl %q", ErrBadRequest, r.Options.Tables)
 	}
@@ -158,6 +159,12 @@ func (r *Request) Validate() error {
 	if r.Options.MaxNodes < 0 {
 		return fmt.Errorf("%w: negative max_nodes", ErrBadRequest)
 	}
+	// The engine reads a limit <= 0 as its default, so a negative one
+	// would run as 0 does yet split the cache from it.
+	if r.Options.MaxDepth < 0 || r.Options.MaxAnswers < 0 || r.Options.MaxSubgoals < 0 {
+		return fmt.Errorf("%w: negative engine limit (max_depth %d, max_answers %d, max_subgoals %d)",
+			ErrBadRequest, r.Options.MaxDepth, r.Options.MaxAnswers, r.Options.MaxSubgoals)
+	}
 	return nil
 }
 
@@ -169,8 +176,8 @@ func (r *Request) canonicalOptions() Options {
 	if o.Mode == "" {
 		o.Mode = "dynamic"
 	}
-	// Tables changes the response's table-space accounting (bytes and
-	// node counts), so the two impls must not share a cache entry.
+	// Tables has one accepted value. It is still filled in because the
+	// cache and store keys already written hash "tables":"trie".
 	if o.Tables == "" {
 		o.Tables = "trie"
 	}
@@ -192,7 +199,7 @@ func (r *Request) canonicalOptions() Options {
 		if o.K <= 0 {
 			o.K = 2
 		}
-		o.Goal, o.Table, o.Lang = "", nil, ""
+		o.NoSupplementary, o.Goal, o.Table, o.Lang = false, "", nil, ""
 		o.Pred, o.MaxNodes = "", 0
 	case KindQuery:
 		o.K, o.Entry, o.NoSupplementary, o.Slice, o.Lint, o.Lang = 0, nil, false, false, false, ""
@@ -250,14 +257,6 @@ func (o Options) engineMode() engine.LoadMode {
 	return engine.LoadDynamic
 }
 
-// engineTables maps the wire tables impl to the engine's TablesImpl.
-func (o Options) engineTables() engine.TablesImpl {
-	if o.Tables == "stringmap" {
-		return engine.TablesStringMap
-	}
-	return engine.TablesTrie
-}
-
 // engineLimits maps the wire limits to engine.Limits.
 func (o Options) engineLimits() engine.Limits {
 	return engine.Limits{
@@ -293,8 +292,7 @@ type EngineReport struct {
 	// table and the answer tables.
 	CallBytes   int64 `json:"call_bytes"`
 	AnswerBytes int64 `json:"answer_bytes"`
-	// TableNodes counts trie nodes backing the tables (0 under the
-	// canonical-string-map representation).
+	// TableNodes counts trie nodes backing the tables.
 	TableNodes int64 `json:"table_nodes"`
 	// PredsCompiled and CompileNanos account closure compilation
 	// (ModeClosure runs only).
