@@ -115,8 +115,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnify$$' -fuzztime $(FUZZTIME) ./internal/prolog
 	$(GO) test -run '^$$' -fuzz '^FuzzTrieInsertLookup$$' -fuzztime $(FUZZTIME) ./internal/prolog
 	$(GO) test -run '^$$' -fuzz '^FuzzTrieUnify$$' -fuzztime $(FUZZTIME) ./internal/prolog
+	$(GO) test -run '^$$' -fuzz '^FuzzTrieAbstractUnify$$' -fuzztime $(FUZZTIME) ./internal/depthk
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFL$$' -fuzztime $(FUZZTIME) ./internal/fl
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeGroundness$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeDepthK$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileSolve$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreDecode$$' -fuzztime $(FUZZTIME) ./internal/service/store
 

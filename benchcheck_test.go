@@ -98,6 +98,25 @@ const benchBaselineFile = "BENCH_engine.json"
 // same band on ns/op absorbs scheduler noise on a multi-second workload.
 const benchTolerance = 1.15
 
+// bestOf3 runs each benchmark three times, round-robin, and returns the
+// fastest run of each: minimum ns/op is the standard noise-robust
+// statistic, and allocation counts are near-deterministic anyway.
+// Interleaving the repetitions makes drift in the host's speed during
+// the measurement hit every benchmark alike, so a gate that compares
+// two of them compares like with like.
+func bestOf3(benches ...func(b *testing.B)) []testing.BenchmarkResult {
+	best := make([]testing.BenchmarkResult, len(benches))
+	for run := 0; run < 3; run++ {
+		for i, bench := range benches {
+			r := testing.Benchmark(bench)
+			if run == 0 || r.NsPerOp() < best[i].NsPerOp() {
+				best[i] = r
+			}
+		}
+	}
+	return best
+}
+
 // obsBaselineFile holds the observability-layer overhead baselines:
 // the tracing-hook numbers at the top level (historical layout) and the
 // justification-recorder numbers under "provenance".
@@ -131,24 +150,18 @@ func TestProvenanceBenchGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(provenance bool) testing.BenchmarkResult {
-		var best testing.BenchmarkResult
-		for run := 0; run < 3; run++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := prop.Analyze(p.Source, prop.Options{Provenance: provenance}); err != nil {
-						b.Fatal(err)
-					}
+	analyze := func(provenance bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := prop.Analyze(p.Source, prop.Options{Provenance: provenance}); err != nil {
+					b.Fatal(err)
 				}
-			})
-			if run == 0 || r.NsPerOp() < best.NsPerOp() {
-				best = r
 			}
 		}
-		return best
 	}
-	disabled, enabled := measure(false), measure(true)
+	res := bestOf3(analyze(false), analyze(true))
+	disabled, enabled := res[0], res[1]
 	t.Logf("disabled: %d ns/op, %d allocs/op; enabled: %d ns/op, %d allocs/op (+%.1f%% time)",
 		disabled.NsPerOp(), disabled.AllocsPerOp(), enabled.NsPerOp(), enabled.AllocsPerOp(),
 		(float64(enabled.NsPerOp())/float64(disabled.NsPerOp())-1)*100)
@@ -267,17 +280,7 @@ func TestServiceBenchGate(t *testing.T) {
 	req := &service.Request{Kind: service.KindGroundness, Source: p.Source}
 	ctx := context.Background()
 
-	bestOf3 := func(bench func(b *testing.B)) testing.BenchmarkResult {
-		var best testing.BenchmarkResult
-		for run := 0; run < 3; run++ {
-			r := testing.Benchmark(bench)
-			if run == 0 || r.NsPerOp() < best.NsPerOp() {
-				best = r
-			}
-		}
-		return best
-	}
-	warm := bestOf3(func(b *testing.B) {
+	res := bestOf3(func(b *testing.B) {
 		b.ReportAllocs()
 		s := service.New(service.Config{QueueSize: 1024})
 		defer s.Close()
@@ -294,8 +297,7 @@ func TestServiceBenchGate(t *testing.T) {
 				b.Fatal("warm request missed the cache")
 			}
 		}
-	})
-	shed := bestOf3(func(b *testing.B) {
+	}, func(b *testing.B) {
 		b.ReportAllocs()
 		s := service.New(service.Config{QueueSize: 1024, RateLimit: 1e-9, RateBurst: 1})
 		defer s.Close()
@@ -311,6 +313,7 @@ func TestServiceBenchGate(t *testing.T) {
 			}
 		}
 	})
+	warm, shed := res[0], res[1]
 	t.Logf("warm: %d ns/op, %d allocs/op; shed: %d ns/op, %d allocs/op",
 		warm.NsPerOp(), warm.AllocsPerOp(), shed.NsPerOp(), shed.AllocsPerOp())
 
@@ -480,23 +483,17 @@ func TestBatchScalingGate(t *testing.T) {
 		t.Skip("set XLP_BENCH_CHECK=1 (compare) or XLP_BENCH_WRITE=1 (rebaseline) to run")
 	}
 	body, items := batchCorpusBody(t)
-	bestOf3 := func(workers int) testing.BenchmarkResult {
-		var best testing.BenchmarkResult
-		for run := 0; run < 3; run++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					runBatchCorpus(b, workers, body, items)
-				}
-			})
-			if run == 0 || r.NsPerOp() < best.NsPerOp() {
-				best = r
+	batch := func(workers int) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runBatchCorpus(b, workers, body, items)
 			}
 		}
-		return best
 	}
 	maxprocs := runtime.GOMAXPROCS(0)
-	seq, par := bestOf3(1), bestOf3(maxprocs)
+	res := bestOf3(batch(1), batch(maxprocs))
+	seq, par := res[0], res[1]
 	t.Logf("batch of %d: 1 worker %d ns/op; %d workers %d ns/op (%.2fx)",
 		items, seq.NsPerOp(), maxprocs, par.NsPerOp(),
 		float64(seq.NsPerOp())/float64(par.NsPerOp()))
@@ -581,25 +578,19 @@ func TestBenchRegressionGate(t *testing.T) {
 		t.Skip("set XLP_BENCH_CHECK=1 (compare) or XLP_BENCH_WRITE=1 (rebaseline) to run")
 	}
 
-	// Best of three runs per configuration: minimum ns/op is the
-	// standard noise-robust statistic, and allocation counts are
-	// near-deterministic anyway.
-	measured := map[string]testing.BenchmarkResult{}
-	for _, cfg := range benchConfigs() {
-		cfg := cfg
-		var best testing.BenchmarkResult
-		for run := 0; run < 3; run++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					solveCorpus(b, cfg)
-				}
-			})
-			if run == 0 || r.NsPerOp() < best.NsPerOp() {
-				best = r
+	cfgs := benchConfigs()
+	benches := make([]func(b *testing.B), len(cfgs))
+	for i, cfg := range cfgs {
+		benches[i] = func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				solveCorpus(b, cfg)
 			}
 		}
-		measured[cfg.name] = best
+	}
+	measured := map[string]testing.BenchmarkResult{}
+	for i, r := range bestOf3(benches...) {
+		measured[cfgs[i].name] = r
 	}
 
 	// The closure backend's acceptance bar: compiling clauses to Go

@@ -49,6 +49,51 @@ func FuzzAnalyzeGroundness(f *testing.F) {
 	})
 }
 
+// FuzzAnalyzeDepthK drives depth-k groundness end to end — reader,
+// transform, the answer trie's cut-insert and abstract unification — on
+// arbitrary program text at K 1 to 3, exhaustive and from an entry,
+// under tight resource limits and a deadline. An error is fine; a panic
+// fails the target, and a successful analysis must be internally
+// consistent (vectors and answers sized to the arity).
+func FuzzAnalyzeDepthK(f *testing.F) {
+	for _, p := range corpus.DepthKPrograms() {
+		f.Add(p.Source, uint8(0), "")
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		for _, shape := range randgen.PrologShapes() {
+			g := randgen.Generate(randgen.Config{Shape: shape, Seed: seed})
+			f.Add(g.Source, uint8(seed), "")
+			f.Add(g.Source, uint8(seed), g.Entry)
+		}
+	}
+	// Tight enough that kalah and read, the two heavy Table 4 seeds,
+	// stop at a limit within milliseconds (so their mutants do not eat
+	// the fuzzing time), and loose enough for the other seven to finish.
+	limits := Limits{MaxDepth: 10_000, MaxAnswers: 2_000, MaxSubgoals: 500}
+	f.Fuzz(func(t *testing.T, src string, k uint8, entry string) {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		opts := DepthKOptions{K: 1 + int(k%3), Limits: limits, Ctx: ctx}
+		if entry != "" {
+			opts.Entry = []string{entry}
+		}
+		a, err := AnalyzeDepthK(src, opts)
+		if err != nil {
+			return
+		}
+		for ind, r := range a.Results {
+			if len(r.GroundArgs) != r.Arity {
+				t.Fatalf("%s: %d ground-arg entries for arity %d", ind, len(r.GroundArgs), r.Arity)
+			}
+			for _, ans := range r.Answers {
+				if _, args, _ := term.FunctorArity(ans); len(args) != r.Arity {
+					t.Fatalf("%s: answer %v has %d arguments", ind, ans, len(args))
+				}
+			}
+		}
+	})
+}
+
 // FuzzCompileSolve holds the closure-compiled clause backend
 // (engine.ModeClosure, internal/compile) against the interpreter on
 // arbitrary program text: both modes must derive the same solution

@@ -22,13 +22,14 @@ import (
 )
 
 // Gamma is the abstract constant denoting "any ground term".
-const Gamma = term.Atom("$gamma")
+const Gamma = term.Gamma
 
 // Prefix for abstract predicate names.
 const Prefix = "gk_"
 
-// CutDepth returns a copy of t in which every subterm at depth k is
-// replaced: ground subterms by γ, non-ground ones by a fresh variable.
+// CutDepth returns t with every subterm at depth k replaced: ground
+// subterms by γ, non-ground ones by a fresh variable. It copies only
+// the compounds above a replacement; when nothing is cut it returns t.
 func CutDepth(t term.Term, k int) term.Term {
 	t = term.Deref(t)
 	if k <= 0 {
@@ -45,16 +46,25 @@ func CutDepth(t term.Term, k int) term.Term {
 			return term.NewVar("_")
 		}
 	}
-	switch t := t.(type) {
-	case *term.Compound:
-		args := make([]term.Term, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = CutDepth(a, k-1)
-		}
-		return &term.Compound{Functor: t.Functor, Args: args}
-	default:
+	c, ok := t.(*term.Compound)
+	if !ok {
 		return t
 	}
+	var args []term.Term // allocated at the first argument that changes
+	for i, a := range c.Args {
+		r := CutDepth(a, k-1)
+		if r != a && args == nil {
+			args = make([]term.Term, len(c.Args))
+			copy(args, c.Args[:i])
+		}
+		if args != nil {
+			args[i] = r
+		}
+	}
+	if args == nil {
+		return c
+	}
+	return &term.Compound{Functor: c.Functor, Args: args}
 }
 
 // AbstractUnify unifies abstract terms a and b on the given trail with
@@ -92,10 +102,12 @@ func aunify(a, b term.Term, k int, tr *term.Trail) bool {
 	// γ absorbs any term that can denote ground terms: bind all its
 	// variables to γ.
 	if a == Gamma {
-		return groundOut(b, tr)
+		term.GroundOut(b, tr)
+		return true
 	}
 	if b == Gamma {
-		return groundOut(a, tr)
+		term.GroundOut(a, tr)
+		return true
 	}
 	switch at := a.(type) {
 	case term.Atom:
@@ -119,31 +131,31 @@ func aunify(a, b term.Term, k int, tr *term.Trail) bool {
 	return false
 }
 
-// linearize replaces every variable occurrence of t by a fresh variable,
-// dropping sharing (equality) constraints — a widening applied to
-// recorded answers.
-func linearize(t term.Term) term.Term {
+// cutLinear is CutDepth followed by linearization (every variable
+// occurrence becomes a fresh variable, dropping sharing constraints),
+// in one pass.
+func cutLinear(t term.Term, k int) term.Term {
 	switch t := term.Deref(t).(type) {
 	case *term.Var:
 		return term.NewVar("_")
 	case *term.Compound:
+		if k <= 0 {
+			if term.IsGround(t) {
+				return Gamma
+			}
+			return term.NewVar("_")
+		}
 		args := make([]term.Term, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = linearize(a)
+			args[i] = cutLinear(a, k-1)
 		}
 		return &term.Compound{Functor: t.Functor, Args: args}
 	default:
+		if k <= 0 {
+			return Gamma
+		}
 		return t
 	}
-}
-
-// groundOut binds every variable of t to γ (unifying t with the set of
-// ground terms).
-func groundOut(t term.Term, tr *term.Trail) bool {
-	for _, v := range term.Vars(t) {
-		tr.Bind(v, Gamma)
-	}
-	return true
 }
 
 // IsGroundAbstract reports whether an abstract term denotes only ground
@@ -189,7 +201,7 @@ func RegisterBuiltins(m *engine.Machine, k int) {
 			return false // unreachable by construction of the transform
 		}
 		mark := tr.Mark()
-		tr.Bind(c, linearize(CutDepth(args[1], k)))
+		tr.Bind(c, cutLinear(args[1], k))
 		if kont() {
 			tr.Undo(mark)
 			return true
@@ -201,25 +213,11 @@ func RegisterBuiltins(m *engine.Machine, k int) {
 	m.Register("gground/1", func(m *engine.Machine, args []term.Term, kont func() bool) bool {
 		tr := m.BuiltinTrail()
 		mark := tr.Mark()
-		if aunifyGround(args[0], tr) {
-			if kont() {
-				tr.Undo(mark)
-				return true
-			}
-		}
+		term.GroundOut(args[0], tr)
+		stop := kont()
 		tr.Undo(mark)
-		return false
+		return stop
 	})
-}
-
-func aunifyGround(t term.Term, tr *term.Trail) bool {
-	switch t := term.Deref(t).(type) {
-	case *term.Var:
-		tr.Bind(t, Gamma)
-		return true
-	default:
-		return groundOut(t, tr)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -499,24 +497,11 @@ func (d *domain) Load(m *engine.Machine) error {
 	// k (cut-at-binding alone does not bound structures composed across
 	// body literals), and match calls against the abstracted answers
 	// with abstract unification so γ keeps denoting "any ground term".
-	m.AnswerAbstraction = func(ans term.Term) term.Term {
-		name, args, ok := term.FunctorArity(ans)
-		if !ok || len(args) == 0 {
-			return ans
-		}
-		cut := make([]term.Term, len(args))
-		for i, a := range args {
-			// Linearizing (each variable occurrence becomes a fresh
-			// variable) widens away sharing constraints between answer
-			// positions; without it the variant table distinguishes
-			// every sharing pattern and the answer space explodes.
-			cut[i] = linearize(CutDepth(a, k))
-		}
-		return term.NewCompound(name, cut...)
-	}
-	m.AbstractUnify = func(a, b term.Term, tr *term.Trail) bool {
-		return AbstractUnify(a, b, k, tr)
-	}
+	// The cut answers are also linearized: each variable occurrence is
+	// a fresh variable, which widens away sharing constraints between
+	// answer positions; without it the variant table distinguishes every
+	// sharing pattern and the answer space explodes.
+	m.AnswerDepth = k
 	// Goal-directed runs reach inner calls whose arguments compose
 	// depth-cut bindings into ever-deeper (or combinatorially many)
 	// variants; abstracting every call to the predicate's most general

@@ -33,6 +33,10 @@ func TestCutDepth(t *testing.T) {
 	if CutDepth(term.Atom("a"), 1) != term.Atom("a") {
 		t.Fatal("atom above the bound changed")
 	}
+	// nothing to cut: the term itself comes back, not a copy
+	if CutDepth(tm, 4) != term.Term(tm) {
+		t.Fatal("uncut term was copied")
+	}
 }
 
 func TestAbstractUnifyGamma(t *testing.T) {

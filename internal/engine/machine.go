@@ -193,23 +193,22 @@ type Machine struct {
 	Provenance bool
 	Out        io.Writer // target of write/1 etc.; defaults to os.Stdout
 
-	// AnswerAbstraction, if set, maps a tabled answer instance to its
-	// abstract form before recording. Analyses over non-enumerative
-	// domains (the paper's §5 depth-k abstraction) use it to keep the
-	// answer tables finite.
-	AnswerAbstraction func(ans term.Term) term.Term
+	// AnswerDepth, when positive, tables answers in the paper's §5
+	// term-depth domain: each argument of an answer is cut at depth
+	// AnswerDepth (a ground subterm at the cut becomes term.Gamma,
+	// anything else a variable) and linearized during the answer-trie
+	// insert, which keeps the answer tables finite; and a call is matched
+	// against the stored answers by abstract unification, under which γ
+	// denotes every ground term. 0 tables answers as derived.
+	AnswerDepth int
 	// CallAbstraction, if set, maps a tabled call to the (more general)
 	// call actually tabled. Goal-directed analyses over depth-bounded
 	// domains need it: inner calls compose depth-cut bindings into
 	// ever-deeper variants, and abstracting the call keeps the subgoal
 	// table finite. Answers of the abstracted call are unified against
-	// the original call (via AbstractUnify when set), so generalizing is
-	// sound — it can only produce a superset of answers.
+	// the original call (abstractly under AnswerDepth), so generalizing
+	// is sound — it can only produce a superset of answers.
 	CallAbstraction func(call term.Term) term.Term
-	// AbstractUnify, if set, replaces plain unification when matching a
-	// tabled call against recorded answers (needed when answers contain
-	// abstract constants such as γ that denote term sets).
-	AbstractUnify func(a, b term.Term, tr *term.Trail) bool
 
 	preds    map[pkey]*Pred
 	builtins map[pkey]Builtin

@@ -56,8 +56,8 @@ type subgoal struct {
 func (sg *subgoal) numAnswers() int { return len(sg.leaves) }
 
 // answer returns answer i of sg's table with fresh variables. It is the
-// one accessor through which dumps, provenance and abstract unification
-// read answers.
+// one accessor through which dumps and provenance read answers; calls
+// match answers on the trie path instead (unifyAnswer).
 func (sg *subgoal) answer(i int) term.Term { return sg.ansTrie.Term(sg.leaves[i]) }
 
 // consumer is a suspended derivation: a tabled call that reached an
@@ -140,13 +140,17 @@ func (m *Machine) consume(sg *subgoal, goal term.Term, from int, k func() bool) 
 }
 
 // unifyAnswer unifies goal with answer i of sg against its leaf's path,
-// building only what binds goal variables. Abstract unification
-// (depth-k) takes the answer as a term.
+// building only what binds goal variables; under AnswerDepth the match
+// is abstract unification.
 func (m *Machine) unifyAnswer(sg *subgoal, goal term.Term, i int) bool {
-	if m.AbstractUnify != nil {
-		return m.AbstractUnify(goal, sg.answer(i), &m.trail)
+	if m.AnswerDepth <= 0 {
+		return sg.ansTrie.Unify(goal, sg.leaves[i], &m.trail)
 	}
-	return sg.ansTrie.Unify(goal, sg.leaves[i], &m.trail)
+	ok, err := sg.ansTrie.AbstractUnify(goal, sg.leaves[i], &m.trail)
+	if err != nil {
+		m.throwErr(fmt.Errorf("engine: answer %d of %v: %w", i, sg.goal, err))
+	}
+	return ok
 }
 
 // suspend saves the current derivation as a consumer of sg that has
@@ -352,9 +356,6 @@ func (m *Machine) addAnswer(sg *subgoal, inst term.Term, cl *Clause) {
 		// a late answer would be silently unobservable.
 		m.throwf("internal: answer for completed table %v", sg.goal)
 	}
-	if m.AnswerAbstraction != nil {
-		inst = m.AnswerAbstraction(term.Resolve(inst))
-	}
 	// Count answer derivations toward the context poll: per-answer cost
 	// grows with answer size, so polling on solveG entries alone lets
 	// cancellation latency grow without bound on divergent programs.
@@ -363,8 +364,9 @@ func (m *Machine) addAnswer(sg *subgoal, inst term.Term, cl *Clause) {
 		m.checkCtx()
 	}
 	// Dedup through the answer trie: one walk, allocation-free on the
-	// duplicate path (the hottest case).
-	leaf, nodes := sg.ansTrie.Insert(inst)
+	// duplicate path (the hottest case). Under AnswerDepth the walk
+	// spells the answer's depth-k abstraction.
+	leaf, nodes := sg.ansTrie.InsertDepth(inst, m.AnswerDepth)
 	if _, dup := leaf.Value(); dup {
 		if m.tracer != nil {
 			m.tracer.Emit(obs.EvAnswerDup, sg.pred.Indicator, 0)

@@ -195,6 +195,8 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrInternal):
+		return http.StatusInternalServerError
 	case errors.Is(err, engine.ErrDepthLimit),
 		errors.Is(err, engine.ErrAnswerLimit),
 		errors.Is(err, engine.ErrSubgoalLimit):

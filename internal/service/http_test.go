@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -218,5 +219,76 @@ func TestHTTPAllAnalyzeKinds(t *testing.T) {
 		if len(resp.Predicates)+len(resp.Functions) == 0 {
 			t.Errorf("%s: empty result: %s", tc.kind, body)
 		}
+	}
+}
+
+// TestPanicFailsOnlyItsRequest: an analysis that panics answers its own
+// request with 500 and leaves the daemon serving. The panic is counted
+// on /metrics and logged with its stack on the request's line, and the
+// failure is not cached: a repeat runs (and fails) again. A batch item
+// that panics fails alone.
+func TestPanicFailsOnlyItsRequest(t *testing.T) {
+	var logBuf bytes.Buffer
+	s := New(Config{Workers: 1, QueueSize: 8, Logger: slog.New(slog.NewJSONHandler(&logBuf, nil))})
+	const boom = "boom(1).\n"
+	s.beforeExecute = func(r *Request) {
+		if r.Source == boom {
+			panic("injected fault")
+		}
+	}
+	srv := httptest.NewServer(RequestIDMiddleware(s.Handler()))
+	t.Cleanup(func() {
+		srv.Close()
+		s.Close()
+	})
+	analyze := func(src string) int {
+		t.Helper()
+		hr, _ := post(t, srv.URL+"/v1/analyze/groundness", map[string]string{"source": src})
+		return hr.StatusCode
+	}
+
+	if code := analyze(boom); code != http.StatusInternalServerError {
+		t.Fatalf("panicking request: status %d, want 500", code)
+	}
+	if code := analyze("ok(1).\n"); code != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, want 200", code)
+	}
+	mresp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if got, ok := findSample(parseProm(t, string(raw)), "xlpd_panics_total", nil); !ok || got.value != 1 {
+		t.Fatalf("xlpd_panics_total = %+v (found %v), want 1", got, ok)
+	}
+	var line map[string]any
+	for _, l := range strings.Split(logBuf.String(), "\n") {
+		if strings.Contains(l, `"execution panicked"`) {
+			if err := json.Unmarshal([]byte(l), &line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if line == nil || line["req"] == nil || !strings.Contains(fmt.Sprint(line["stack"]), "TestPanicFailsOnlyItsRequest") {
+		t.Fatalf("no panic log line with request ID and stack: %v", line)
+	}
+
+	if code := analyze(boom); code != http.StatusInternalServerError {
+		t.Fatalf("repeated panicking request: status %d, want 500 (a failure must not be cached)", code)
+	}
+	hr, body := post(t, srv.URL+"/v1/batch", batchRequest{Items: []batchItem{
+		{Kind: KindGroundness, Source: boom},
+		{Kind: KindGroundness, Source: "ok(2).\n"},
+	}})
+	var out batchResponse
+	if err := json.Unmarshal(body, &out); err != nil || hr.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, %v: %s", hr.StatusCode, err, body)
+	}
+	if out.OK != 1 || out.Failed != 1 || !strings.Contains(out.Results[0].Error, ErrInternal.Error()) {
+		t.Fatalf("batch with a panicking item: %s", body)
+	}
+	if st := s.Stats(); st.CacheLen != 2 || s.panics.Load() != 3 {
+		t.Fatalf("cache holds %d entries, %d panics; want the 2 successes and 3 panics", st.CacheLen, s.panics.Load())
 	}
 }

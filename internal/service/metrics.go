@@ -50,6 +50,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("xlpd_deduped_total", "Requests that joined an identical in-flight computation.", float64(st.Deduped))
 	pw.Counter("xlpd_executed_total", "Analyses actually run by workers.", float64(st.Executed))
 	pw.Counter("xlpd_failures_total", "Executions that returned an error.", float64(st.Failures))
+	pw.Counter("xlpd_panics_total", "Executions that panicked (answered 500; counted in failures too).", float64(s.panics.Load()))
 	pw.Counter("xlpd_lint_requests_total", "Executed requests that ran the linter.", float64(st.LintRequests))
 	pw.Counter("xlpd_lint_diagnostics_total", "Diagnostics produced by executed lint runs.", float64(st.LintDiagnostics))
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,6 +36,9 @@ var (
 	ErrRateLimited = errors.New("service: rate limited")
 	// ErrClosed: the service is shut down or shutting down.
 	ErrClosed = errors.New("service: closed")
+	// ErrInternal: the analysis panicked. The request fails alone; the
+	// panic and its stack go to the request's log line.
+	ErrInternal = errors.New("service: internal error")
 )
 
 // Config sizes a Service.
@@ -217,12 +221,16 @@ type Service struct {
 	adm    *admission   // nil when Config.RateLimit is 0
 	start  time.Time
 	debug  *tablesRegistry // /debug/tables live table watches
+	// beforeExecute, when set, runs just before each analysis executes;
+	// tests use it to inject faults. Set it before the first request.
+	beforeExecute func(*Request)
 
 	mu       sync.Mutex // guards closed and inflight, and serializes submit vs Shutdown
 	closed   bool
 	inflight map[string]*flight
 
 	requests, hits, misses, deduped, executed, failures atomic.Uint64
+	panics                                              atomic.Uint64 // executions that panicked (xlpd_panics_total)
 	lintRequests, lintDiagnostics                       atomic.Uint64
 	shedQueue, shedRate, streams                        atomic.Uint64
 	batches, batchItems, batchItemErrors                atomic.Uint64
@@ -607,7 +615,7 @@ func (s *Service) run(j *job) (*Response, error) {
 	}
 	s.logger.Info("executing", "req", reqID, "kind", j.req.Kind)
 	t0 := time.Now()
-	resp, err := execute(j.ctx, j.req, tracer)
+	resp, err := s.execute(j, tracer)
 	if err != nil {
 		s.failures.Add(1)
 		s.logger.Warn("execution failed",
@@ -644,6 +652,24 @@ func (s *Service) run(j *job) (*Response, error) {
 	}
 	s.logger.Info("executed", done...)
 	return resp, nil
+}
+
+// execute runs execute for job j, turning a panic into ErrInternal: one
+// faulty analysis fails its own request and leaves the worker, and the
+// daemon, running. The failure is not cached or stored, like any other.
+func (s *Service) execute(j *job, tracer obs.EngineTracer) (resp *Response, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Add(1)
+			s.logger.Error("execution panicked", "req", RequestID(j.ctx), "kind", j.req.Kind,
+				"panic", r, "stack", string(debug.Stack()))
+			resp, err = nil, fmt.Errorf("%w: %v", ErrInternal, r)
+		}
+	}()
+	if s.beforeExecute != nil {
+		s.beforeExecute(j.req)
+	}
+	return execute(j.ctx, j.req, tracer)
 }
 
 // execute dispatches a validated request to its analyzer under ctx.

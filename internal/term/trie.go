@@ -1,6 +1,7 @@
 package term
 
 import (
+	"errors"
 	"slices"
 	"unsafe"
 )
@@ -20,6 +21,11 @@ import (
 // parent and the cell on its incoming edge, so a leaf spells its term
 // back (Term), and a goal unifies against the path directly (Unify).
 // A table keeps no other copy of what it stores.
+//
+// The same holds for the depth-k domain (the paper's §5): InsertDepth
+// spells a term's depth-k abstraction during the walk itself, and
+// AbstractUnify matches a goal against such a path with depth-k
+// abstract unification, so neither side builds the abstract term.
 //
 // A Trie is not safe for concurrent use; each engine machine owns its
 // tries. The global symbol intern table (intern.go) is shared and
@@ -139,7 +145,7 @@ type Trie struct {
 	syms  *SymCache
 
 	// Scratch buffers reused across walks so a hit allocates nothing.
-	stack []Term
+	stack []walkItem
 	vars  []*Var
 	// Slabs of preallocated nodes and first edges, handed out in order
 	// so that growing the trie costs one allocation per chunk rather
@@ -149,7 +155,7 @@ type Trie struct {
 	edgeSlab         []*TrieNode
 	chunk, edgeChunk int // sizes of the last chunks
 
-	dec trieDecoder // scratch for Term and Unify
+	dec trieDecoder // scratch for Term, Unify and AbstractUnify
 }
 
 const maxSlab = 8
@@ -189,67 +195,102 @@ func (tr *Trie) Bytes() int { return tr.nodes * TrieNodeBytes }
 // variant class was walked before). The caller distinguishes "present"
 // from "prefix only" via the leaf's Value.
 func (tr *Trie) Insert(t Term) (leaf *TrieNode, newNodes int) {
+	return tr.InsertDepth(t, 0)
+}
+
+// InsertDepth is Insert of t's depth-k abstraction, spelled during the
+// walk: each argument of t is cut at depth k, where a ground subterm
+// becomes Gamma and anything else a variable, and every variable
+// occurrence gets its own index (the stored term is linear, so sharing
+// between positions is widened away). The root functor is never cut.
+// k <= 0 inserts t itself.
+func (tr *Trie) InsertDepth(t Term, k int) (leaf *TrieNode, newNodes int) {
 	before := tr.nodes
-	leaf = tr.walk(t, true)
+	leaf = tr.walk(t, k, true)
 	return leaf, tr.nodes - before
 }
 
 // Lookup walks t without creating nodes and returns its leaf, or
 // ok=false if no term with t's preorder spelling was ever inserted.
 func (tr *Trie) Lookup(t Term) (leaf *TrieNode, ok bool) {
-	leaf = tr.walk(t, false)
+	leaf = tr.walk(t, 0, false)
 	return leaf, leaf != nil
 }
 
-// walk spells t cell by cell from the root. Variables are numbered by
-// first occurrence in preorder, exactly Canonical's _0, _1, ...
-// numbering, so leaf identity coincides with Variant equivalence. The
-// traversal is iterative over a reused stack: a walk that creates no
-// nodes performs no allocation.
-func (tr *Trie) walk(t Term, create bool) *TrieNode {
+// walkItem is a subterm still to be spelled and its depth below the
+// root's arguments (the root is at depth -1, its arguments at 0).
+type walkItem struct {
+	t     Term
+	depth int
+}
+
+// walk spells t cell by cell from the root; with k > 0 it spells t's
+// depth-k abstraction (InsertDepth). Variables are numbered by first
+// occurrence in preorder, exactly Canonical's _0, _1, ... numbering, so
+// leaf identity coincides with Variant equivalence. The traversal is
+// iterative over a reused stack: a walk that creates no nodes performs
+// no allocation.
+func (tr *Trie) walk(t Term, k int, create bool) *TrieNode {
 	n := &tr.root
-	tr.stack = append(tr.stack[:0], t)
+	tr.stack = append(tr.stack[:0], walkItem{t, -1})
 	tr.vars = tr.vars[:0]
 	for len(tr.stack) > 0 {
-		top := tr.stack[len(tr.stack)-1]
-		tr.stack = tr.stack[:len(tr.stack)-1]
-		var k cellKey
-		switch tt := Deref(top).(type) {
-		case Atom:
-			k = cellKey{kind: cAtom, sym: tr.syms.Intern(string(tt))}
-		case Int:
-			k = cellKey{kind: cInt, num: int64(tt)}
-		case *Var:
-			idx := -1
-			for i, v := range tr.vars {
-				if v == tt {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				idx = len(tr.vars)
-				tr.vars = append(tr.vars, tt)
-			}
-			k = cellKey{kind: cVar, num: int64(idx)}
-		case *Compound:
-			k = cellKey{kind: cFunctor, sym: tr.syms.Intern(tt.Functor), num: int64(len(tt.Args))}
-			for i := len(tt.Args) - 1; i >= 0; i-- {
-				tr.stack = append(tr.stack, tt.Args[i])
-			}
-		}
-		next := n.child(k)
+		c := tr.cell(k)
+		next := n.child(c)
 		if next == nil {
 			if !create {
 				return nil
 			}
-			next = tr.newNode(n, k)
+			next = tr.newNode(n, c)
 			tr.addChild(n, next)
 			tr.nodes++
 		}
 		n = next
 	}
 	return n
+}
+
+// cell pops the walk's next subterm and returns its cell, pushing the
+// subterm's arguments in its place.
+func (tr *Trie) cell(k int) cellKey {
+	it := tr.stack[len(tr.stack)-1]
+	tr.stack = tr.stack[:len(tr.stack)-1]
+	t := Deref(it.t)
+	if k > 0 && it.depth == k {
+		if !IsGround(t) {
+			return tr.freshVar()
+		}
+		t = Gamma
+	}
+	switch tt := t.(type) {
+	case Atom:
+		return cellKey{kind: cAtom, sym: tr.syms.Intern(string(tt))}
+	case Int:
+		return cellKey{kind: cInt, num: int64(tt)}
+	case *Var:
+		if k > 0 {
+			return tr.freshVar()
+		}
+		for i, v := range tr.vars {
+			if v == tt {
+				return cellKey{kind: cVar, num: int64(i)}
+			}
+		}
+		tr.vars = append(tr.vars, tt)
+		return cellKey{kind: cVar, num: int64(len(tr.vars) - 1)}
+	}
+	c := t.(*Compound)
+	for i := len(c.Args) - 1; i >= 0; i-- {
+		tr.stack = append(tr.stack, walkItem{c.Args[i], it.depth + 1})
+	}
+	return cellKey{kind: cFunctor, sym: tr.syms.Intern(c.Functor), num: int64(len(c.Args))}
+}
+
+// freshVar returns the cell of a variable occurrence that shares with
+// none before it (a linear walk numbers every occurrence).
+func (tr *Trie) freshVar() cellKey {
+	tr.vars = append(tr.vars, nil)
+	return cellKey{kind: cVar, num: int64(len(tr.vars) - 1)}
 }
 
 // Term rebuilds the term stored at leaf, with fresh variables: a
@@ -358,4 +399,120 @@ func (d *trieDecoder) build(c cellKey) Term {
 		args[i] = d.build(d.next())
 	}
 	return &Compound{Functor: c.sym.Name(), Args: args}
+}
+
+// Gamma is the depth-k domain's abstract constant γ, which denotes the
+// set of all ground terms. A trie stores it as an ordinary atom cell.
+const Gamma = Atom("$gamma")
+
+// GroundOut binds every unbound variable of t to Gamma: it abstract-
+// unifies t with γ.
+func GroundOut(t Term, trail *Trail) {
+	switch t := Deref(t).(type) {
+	case *Var:
+		trail.Bind(t, Gamma)
+	case *Compound:
+		for _, a := range t.Args {
+			GroundOut(a, trail)
+		}
+	}
+}
+
+// ErrNonLinear reports a stored term that repeats a variable where
+// AbstractUnify expects a linear path, as InsertDepth stores.
+var ErrNonLinear = errors.New("term: abstract unification against a stored term that repeats a variable")
+
+// AbstractUnify abstract-unifies goal with the depth-k abstraction
+// stored at leaf by InsertDepth, cell by cell off the path and trailing
+// bindings on trail. The rules are depth-k abstract unification's: a γ
+// cell grounds out the goal subterm it meets (GroundOut), a goal γ
+// skips the stored subterm, a goal variable is bound to the stored
+// subterm (built on the spot), and atoms, integers and functors are
+// compared. The stored term is linear, so each stored variable is a
+// first occurrence: it matches without binding anything, and no occurs
+// check is needed against it. A stored subterm already fits within the
+// depth bound, so a binding needs no second cut. goal is a call, not a
+// variable (a root variable would take the whole stored term uncut). A
+// path that repeats a variable was not stored by InsertDepth; it fails
+// with ErrNonLinear. Like Unify, AbstractUnify leaves its bindings on
+// failure.
+func (tr *Trie) AbstractUnify(goal Term, leaf *TrieNode, trail *Trail) (bool, error) {
+	d := tr.decode(leaf, trail)
+	ok, err := false, ErrNonLinear
+	if d.linear() {
+		ok, err = d.aunify(goal), nil
+	}
+	d.reset()
+	return ok, err
+}
+
+// linear reports whether every variable cell of the loaded path is a
+// first occurrence.
+func (d *trieDecoder) linear() bool {
+	nv := 0
+	for _, c := range d.cells {
+		if c.kind == cVar {
+			if int(c.num) != nv {
+				return false
+			}
+			nv++
+		}
+	}
+	return true
+}
+
+// gammaSym is Gamma's symbol, the cell AbstractUnify reads as γ.
+var gammaSym = Intern(string(Gamma))
+
+// aunify abstract-unifies goal with the stored subterm at the next
+// cell. The path is linear, so every variable cell is a first
+// occurrence; d.vars only counts them, for build's numbering.
+func (d *trieDecoder) aunify(goal Term) bool {
+	c := d.next()
+	if c.kind == cVar {
+		d.vars = append(d.vars, nil)
+		return true
+	}
+	g := Deref(goal)
+	if v, ok := g.(*Var); ok {
+		d.trail.Bind(v, d.build(c))
+		return true
+	}
+	if c.kind == cAtom && c.sym == gammaSym {
+		GroundOut(g, d.trail)
+		return true
+	}
+	switch g := g.(type) {
+	case Atom:
+		if g == Gamma {
+			d.skip(c)
+			return true
+		}
+		return c.kind == cAtom && c.sym.Name() == string(g)
+	case Int:
+		return c.kind == cInt && c.num == int64(g)
+	case *Compound:
+		if c.kind != cFunctor || int(c.num) != len(g.Args) || c.sym.Name() != g.Functor {
+			return false
+		}
+		for _, a := range g.Args {
+			if !d.aunify(a) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// skip reads past the stored subterm whose first cell is c.
+func (d *trieDecoder) skip(c cellKey) {
+	switch c.kind {
+	case cVar:
+		d.vars = append(d.vars, nil)
+	case cFunctor:
+		for range c.num {
+			d.skip(d.next())
+		}
+	}
 }
